@@ -86,7 +86,7 @@ from .trec import (
     serialize_run,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "ConfigurationError",

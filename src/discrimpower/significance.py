@@ -8,10 +8,15 @@ the permuted per-system means is recorded. A pair's p-value is the
 fraction of iterations whose HSD* reaches its observed absolute mean
 difference.
 
-Determinism contract: the permutation used for iteration ``b`` and topic
-``t`` comes from a counter-based stream keyed on ``(master_seed, b, t)``,
-so p-values are bit-identical for a fixed seed regardless of execution
-order or worker count.
+Determinism contract: iterations are grouped in blocks of ``_BLOCK`` =
+1024, and the permutations of topic ``t`` for every iteration in block
+``k`` come from one counter-based stream keyed on ``(master_seed, k, t)``.
+Workers split the run on block boundaries only, so p-values are
+bit-identical for a fixed seed regardless of execution order or worker
+count. Every block is drawn in full and the last one truncated, so the
+first ``B'`` iterations of a run with ``B > B'`` iterations are the run
+with ``B'``. Sampled p-values for a given seed differ from version 0.1.0,
+which keyed one stream on each (seed, iteration, topic).
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ SAMPLED = "sampled"
 EXHAUSTIVE = "exhaustive"
 
 _CHUNK = 65536  # assignments vectorised per block in exhaustive mode
+_BLOCK = 1024  # sampled iterations per (block, topic) stream
 
 
 @dataclass(frozen=True)
@@ -93,38 +99,50 @@ def _pair_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
-def _topic_stream(master_seed: int, iteration: int, topic: int) -> np.random.Generator:
-    # Philox counter layout: iteration in bits 128+, topic in bits 64..127,
+def _block_stream(master_seed: int, block: int, topic: int) -> np.random.Generator:
+    # Philox counter layout: block in bits 128+, topic in bits 64..127,
     # leaving the low 64 bits for in-stream draws.
-    counter = (iteration << 128) | (topic << 64)
+    counter = (block << 128) | (topic << 64)
     return np.random.Generator(np.random.Philox(key=master_seed, counter=counter))
 
 
-def _null_chunk(values: np.ndarray, master_seed: int, start: int, stop: int) -> np.ndarray:
-    """HSD* for iterations [start, stop); independent of chunking."""
+def _null_blocks(values: np.ndarray, master_seed: int, first: int, last: int,
+                 permutations: int) -> np.ndarray:
+    """HSD* for the iterations of blocks [first, last), capped at ``permutations``."""
     m, n = values.shape
-    out = np.empty(stop - start)
-    idx = np.empty((m, n), dtype=np.intp)
-    for b in range(start, stop):
+    identity = np.broadcast_to(np.arange(m), (_BLOCK, m))
+    out = []
+    for block in range(first, last):
+        size = min(_BLOCK, permutations - block * _BLOCK)
+        # acc[k, s] adds, in topic order as sequential_row_means does, the
+        # score of the system that iteration k places in slot s. Fancy
+        # indexing copies, so topic 0's gather can start the sum.
         for t in range(n):
-            idx[:, t] = _topic_stream(master_seed, b, t).permutation(m)
-        permuted = np.take_along_axis(values, idx, axis=0)
-        means = sequential_row_means(permuted)
-        out[b - start] = means.max() - means.min()
-    return out
+            perms = _block_stream(master_seed, block, t).permuted(identity, axis=1)
+            col = values[perms[:size], t]
+            if t == 0:
+                acc = col
+            else:
+                acc += col
+        means = acc / n
+        out.append(means.max(axis=1) - means.min(axis=1))
+    return np.concatenate(out)
 
 
 def _sampled_null(values: np.ndarray, cfg: SigTestConfig) -> np.ndarray:
-    if cfg.n_workers == 1:
-        return _null_chunk(values, cfg.master_seed, 0, cfg.permutations)
-    bounds = np.linspace(0, cfg.permutations, cfg.n_workers + 1).astype(int)
-    with ProcessPoolExecutor(max_workers=cfg.n_workers) as pool:
+    n_blocks = -(-cfg.permutations // _BLOCK)
+    workers = min(cfg.n_workers, n_blocks)
+    if workers == 1:
+        return _null_blocks(values, cfg.master_seed, 0, n_blocks, cfg.permutations)
+    bounds = [w * n_blocks // workers for w in range(workers + 1)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = pool.map(
-            _null_chunk,
-            [values] * cfg.n_workers,
-            [cfg.master_seed] * cfg.n_workers,
+            _null_blocks,
+            [values] * workers,
+            [cfg.master_seed] * workers,
             bounds[:-1],
             bounds[1:],
+            [cfg.permutations] * workers,
         )
         return np.concatenate(list(parts))
 

@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discrimpower.errors import ConfigurationError
-from discrimpower.measures import ScoreMatrix
+from discrimpower.measures import ScoreMatrix, sequential_row_means
 from discrimpower.significance import (
     EXHAUSTIVE,
     SignificanceSet,
@@ -12,6 +14,7 @@ from discrimpower.significance import (
     significance_partition,
     significance_to_csv,
     tukey_hsd_pvalues,
+    _sampled_null,
 )
 
 
@@ -111,14 +114,78 @@ def test_sampled_approximates_exhaustive():
 
 
 def test_sampled_is_deterministic_and_worker_invariant():
+    # Block edges, and more workers than blocks (B <= 1024).
     rng = np.random.default_rng(9)
     sm = matrix(rng.random((4, 6)))
-    cfg1 = SigTestConfig(permutations=800, master_seed=13, n_workers=1)
-    cfg3 = SigTestConfig(permutations=800, master_seed=13, n_workers=3)
-    a = tukey_hsd_pvalues(sm, cfg1)
-    b = tukey_hsd_pvalues(sm, cfg1)
-    c = tukey_hsd_pvalues(sm, cfg3)
-    assert a.p_values == b.p_values == c.p_values
+    for permutations in (1, 800, 1023, 1024, 1025, 2500):
+        cfgs = [SigTestConfig(permutations=permutations, master_seed=13, n_workers=w)
+                for w in (1, 1, 2, 3)]
+        results = [tukey_hsd_pvalues(sm, cfg).p_values for cfg in cfgs]
+        assert all(r == results[0] for r in results), permutations
+
+
+BLOCK = 1024  # iterations per stream, part of the determinism contract
+
+
+def block_perms(seed, block, topic, m):
+    """The (BLOCK, m) permutations of one (block, topic) stream."""
+    counter = (block << 128) | (topic << 64)
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=counter))
+    return gen.permuted(np.broadcast_to(np.arange(m), (BLOCK, m)), axis=1)
+
+
+def reference_null(values, seed, permutations):
+    """HSD* one iteration at a time from the documented streams."""
+    m, n = values.shape
+    null = []
+    for block in range(-(-permutations // BLOCK)):
+        perms = [block_perms(seed, block, t, m) for t in range(n)]
+        for k in range(min(BLOCK, permutations - block * BLOCK)):
+            idx = np.stack([perms[t][k] for t in range(n)], axis=1)
+            means = sequential_row_means(np.take_along_axis(values, idx, axis=0))
+            null.append(means.max() - means.min())
+    return np.array(null)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    m=st.integers(2, 6),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**64 - 1),
+    permutations=st.integers(1, 1300),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_sampled_null_matches_reference_loop_bit_for_bit(m, n, seed, permutations,
+                                                          data_seed):
+    values = np.random.default_rng(data_seed).random((m, n))
+    null = _sampled_null(values, SigTestConfig(permutations=permutations,
+                                               master_seed=seed))
+    ref = reference_null(values, seed, permutations)
+    assert null.tobytes() == ref.tobytes()
+
+
+def test_sampled_null_is_a_prefix_of_longer_runs():
+    values = np.random.default_rng(5).random((5, 9))
+    short = _sampled_null(values, SigTestConfig(permutations=1500, master_seed=8))
+    long = _sampled_null(values, SigTestConfig(permutations=2048, master_seed=8))
+    assert short.tobytes() == long[:1500].tobytes()
+
+
+# chi-square upper tail for 5 degrees of freedom at probability 1e-9
+_CHI2_5DF_1E9 = 50.69
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**64 - 1), topic=st.integers(0, 60),
+       blocks=st.integers(2, 5))
+def test_block_permutations_are_uniform(seed, topic, blocks):
+    draws = np.concatenate([block_perms(seed, b, topic, 3) for b in range(blocks)])
+    assert all(sorted(row) == [0, 1, 2] for row in draws.tolist())
+    codes = draws[:, 0] * 3 + draws[:, 1]
+    counts = np.array([np.count_nonzero(codes == c) for c in (1, 2, 3, 5, 6, 7)])
+    assert counts.sum() == len(draws)
+    expected = len(draws) / 6
+    assert ((counts - expected) ** 2 / expected).sum() < _CHI2_5DF_1E9
 
 
 def test_different_seed_changes_null():
