@@ -33,7 +33,7 @@ def main():
         repetitions=3,
         master_seed=7,
         sig_cfg=SIG,
-        n_workers=2,  # cells are independent; results do not depend on this
+        n_workers=2,  # processes per significance test; results do not depend on this
     )
     print("per-fraction summary (mean over repetitions):")
     print(sweep_summary_to_csv(result), end="")

@@ -50,14 +50,6 @@ from .trec import (
 DEFAULT_FRACTIONS = "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0"
 
 
-def _to_int(raw: str) -> int:
-    return int(raw)
-
-
-def _to_float(raw: str) -> float:
-    return float(raw)
-
-
 def _to_bool(raw) -> bool:
     if isinstance(raw, bool):
         return raw
@@ -98,17 +90,30 @@ class _Options:
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        config_path = getattr(args, "config", None)
-        self.config = _load_config(config_path) if config_path else {}
+        self.config_path = getattr(args, "config", None)
+        self.config = _load_config(self.config_path) if self.config_path else {}
+        known = set(vars(args)) - {"command", "method", "func", "config"}
+        unknown = sorted(set(self.config) - known)
+        if unknown:
+            raise ConfigurationError(
+                f"{self.config_path}: unknown option {', '.join(unknown)}"
+            )
 
     def get(self, name: str, default, convert=None):
         value = getattr(self.args, name, None)
         if value is not None:
             return value
-        if name in self.config:
-            raw = self.config[name]
-            return convert(raw) if convert else raw
-        return default
+        if name not in self.config:
+            return default
+        raw = self.config[name]
+        if convert is None:
+            return raw
+        try:
+            return convert(raw)
+        except (ValueError, ConfigurationError) as exc:
+            raise ConfigurationError(
+                f"{self.config_path}: invalid value for {name}: {raw!r}"
+            ) from exc
 
 
 def _write_text(path: Path, text: str):
@@ -123,7 +128,7 @@ def _write_text(path: Path, text: str):
 def _load_qrels_checked(path, max_grade: int, role: str):
     try:
         return load_qrels(path, max_grade=max_grade, role=role)
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, ValidationError, UnicodeDecodeError) as exc:
         raise DiscrimPowerError(f"{path}: {exc}") from exc
 
 
@@ -148,25 +153,25 @@ def _load_runset(opts: _Options):
     for path in paths:
         try:
             fragments.append(load_run(path, tag_from_filename=tag_from_filename))
-        except (ParseError, ValidationError) as exc:
+        except (ParseError, ValidationError, UnicodeDecodeError) as exc:
             raise DiscrimPowerError(f"{path}: {exc}") from exc
     return merge_runs(fragments)
 
 
 def _measure_spec(opts: _Options) -> MeasureSpec:
     return MeasureSpec(
-        k=opts.get("k", 10, _to_int),
+        k=opts.get("k", 10, int),
         gain=opts.get("gain", LINEAR),
     )
 
 
-def _sig_config(opts: _Options, n_workers: int = 1) -> SigTestConfig:
+def _sig_config(opts: _Options) -> SigTestConfig:
     return SigTestConfig(
-        alpha=opts.get("alpha", 0.05, _to_float),
-        permutations=opts.get("permutations", 10_000, _to_int),
-        master_seed=opts.get("seed", 0, _to_int),
+        alpha=opts.get("alpha", 0.05, float),
+        permutations=opts.get("permutations", 10_000, int),
+        master_seed=opts.get("seed", 0, int),
         alpha_inclusive=opts.get("alpha_inclusive", False, _to_bool),
-        n_workers=n_workers,
+        n_workers=opts.get("workers", 1, int),
     )
 
 
@@ -174,8 +179,7 @@ def cmd_compare(args) -> int:
     opts = _Options(args)
     out_dir = Path(opts.get("out_dir", "."))
     precision = opts.get("precision", "4")
-    max_grade = opts.get("max_grade", 3, _to_int)
-    workers = opts.get("workers", 1, _to_int)
+    max_grade = opts.get("max_grade", 3, int)
 
     runs = _load_runset(opts)
     gt = _load_qrels_checked(args.gt, max_grade, GROUND_TRUTH)
@@ -185,8 +189,8 @@ def cmd_compare(args) -> int:
         gt,
         cand,
         spec=_measure_spec(opts),
-        sig_cfg=_sig_config(opts, n_workers=workers),
-        kappa_threshold=opts.get("kappa_threshold", 2, _to_int),
+        sig_cfg=_sig_config(opts),
+        kappa_threshold=opts.get("kappa_threshold", 2, int),
     )
     dataset = opts.get("dataset", Path(args.gt).stem)
     name = opts.get("name", Path(args.cand).stem)
@@ -206,22 +210,23 @@ def cmd_sweep(args) -> int:
     opts = _Options(args)
     out_dir = Path(opts.get("out_dir", "."))
     precision = opts.get("precision", "4")
-    max_grade = opts.get("max_grade", 3, _to_int)
+    max_grade = opts.get("max_grade", 3, int)
 
     runs = _load_runset(opts)
     gt = _load_qrels_checked(args.gt, max_grade, GROUND_TRUTH)
+    sig_cfg = _sig_config(opts)
     result = reporting.run_sweep(
         runs,
         gt,
         fractions=opts.get("fractions", _parse_fractions(DEFAULT_FRACTIONS), _parse_fractions),
-        repetitions=opts.get("repetitions", 10, _to_int),
-        master_seed=opts.get("seed", 0, _to_int),
+        repetitions=opts.get("repetitions", 10, int),
+        master_seed=opts.get("seed", 0, int),
         spec=_measure_spec(opts),
-        sig_cfg=_sig_config(opts),
-        kappa_threshold=opts.get("kappa_threshold", 2, _to_int),
-        relevant_threshold=opts.get("relevant_threshold", 1, _to_int),
+        sig_cfg=sig_cfg,
+        kappa_threshold=opts.get("kappa_threshold", 2, int),
+        relevant_threshold=opts.get("relevant_threshold", 1, int),
         stratified=opts.get("stratified", False, _to_bool),
-        n_workers=opts.get("workers", 1, _to_int),
+        n_workers=sig_cfg.n_workers,
     )
     _write_text(out_dir / "sweep.csv", reporting.sweep_to_csv(result, precision))
     _write_text(
@@ -234,10 +239,10 @@ def cmd_sweep(args) -> int:
 def cmd_generate_sample(args) -> int:
     opts = _Options(args)
     out_dir = Path(opts.get("out_dir", "."))
-    max_grade = opts.get("max_grade", 3, _to_int)
+    max_grade = opts.get("max_grade", 3, int)
     gt = _load_qrels_checked(args.gt, max_grade, GROUND_TRUTH)
 
-    single = opts.get("fraction", None, _to_float)
+    single = opts.get("fraction", None, float)
     listed = opts.get("fractions", None, _parse_fractions)
     if single is not None and listed is not None:
         raise ConfigurationError("give either --fraction or --fractions, not both")
@@ -245,13 +250,13 @@ def cmd_generate_sample(args) -> int:
         raise ConfigurationError("give a sampling fraction via --fraction or --fractions")
     fractions = listed if listed is not None else [single]
 
-    repetitions = opts.get("repetitions", 1, _to_int)
+    repetitions = opts.get("repetitions", 1, int)
     for fraction in fractions:
         cfg = SamplingConfig(
             fraction=fraction,
             repetitions=repetitions,
-            master_seed=opts.get("seed", 0, _to_int),
-            relevant_threshold=opts.get("relevant_threshold", 1, _to_int),
+            master_seed=opts.get("seed", 0, int),
+            relevant_threshold=opts.get("relevant_threshold", 1, int),
             stratified=opts.get("stratified", False, _to_bool),
         )
         for rep in range(repetitions):
@@ -266,16 +271,16 @@ def cmd_generate_sample(args) -> int:
 def cmd_generate_popularity(args) -> int:
     opts = _Options(args)
     out_dir = Path(opts.get("out_dir", "."))
-    max_grade = opts.get("max_grade", 3, _to_int)
+    max_grade = opts.get("max_grade", 3, int)
     gt = _load_qrels_checked(args.gt, max_grade, GROUND_TRUTH)
     runs = _load_runset(opts)
     p_mode = opts.get("p_mode", PER_TOPIC)
-    explicit_p = opts.get("explicit_p", None, _to_float)
+    explicit_p = opts.get("explicit_p", None, float)
     cfg = PopularityConfig(
-        depth=opts.get("depth", 100, _to_int),
+        depth=opts.get("depth", 100, int),
         p_mode=p_mode,
         explicit_p=explicit_p,
-        relevant_threshold=opts.get("relevant_threshold", 1, _to_int),
+        relevant_threshold=opts.get("relevant_threshold", 1, int),
     )
     labelled = popularity_biased(gt, runs, cfg)
     param = f"{explicit_p:g}" if p_mode == EXPLICIT else p_mode
@@ -289,7 +294,7 @@ def cmd_generate_llm(args) -> int:
 
     opts = _Options(args)
     out_dir = Path(opts.get("out_dir", "."))
-    max_grade = opts.get("max_grade", 3, _to_int)
+    max_grade = opts.get("max_grade", 3, int)
     gt = _load_qrels_checked(args.gt, max_grade, GROUND_TRUTH)
 
     endpoint = opts.get("endpoint", None)
@@ -312,12 +317,12 @@ def cmd_generate_llm(args) -> int:
         endpoint=endpoint,
         model=model,
         prompt_template=template,
-        scale_max=opts.get("scale_max", 3, _to_int),
-        timeout=opts.get("timeout", 60.0, _to_float),
-        max_retries=opts.get("retries", 3, _to_int),
+        scale_max=opts.get("scale_max", 3, int),
+        timeout=opts.get("timeout", 60.0, float),
+        max_retries=opts.get("retries", 3, int),
         cache_dir=Path(cache_dir) if cache_dir else None,
-        rate_limit=opts.get("rate_limit", None, _to_float),
-        concurrency=opts.get("concurrency", 4, _to_int),
+        rate_limit=opts.get("rate_limit", None, float),
+        concurrency=opts.get("concurrency", 4, int),
         api_key_env=opts.get("api_key_env", "LLM_API_KEY"),
     )
     pairs = labeller.assemble_pairs(
@@ -355,7 +360,7 @@ def cmd_plot(args) -> int:
 
 def cmd_evaluate(args) -> int:
     opts = _Options(args)
-    max_grade = opts.get("max_grade", 3, _to_int)
+    max_grade = opts.get("max_grade", 3, int)
     runs = _load_runset(opts)
     qrels = _load_qrels_checked(args.qrels, max_grade, GROUND_TRUTH)
     sm = score_matrix(runs, qrels, _measure_spec(opts))
@@ -401,7 +406,9 @@ def _add_sig_flags(p: argparse.ArgumentParser):
     p.add_argument("--alpha-inclusive", dest="alpha_inclusive",
                    action=argparse.BooleanOptionalAction, default=None,
                    help="treat p = alpha as significant")
-    p.add_argument("--workers", type=int, help="parallel workers (default 1)")
+    p.add_argument("--workers", type=int,
+                   help="processes for each significance test, split on "
+                        "1024-iteration blocks (default 1)")
 
 
 def _add_sampling_flags(p: argparse.ArgumentParser):
@@ -525,6 +532,13 @@ def main(argv=None) -> int:
         name = exc.filename if exc.filename else exc
         print(f"error: file not found: {name}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        detail = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+        print(f"error: {detail}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
+        return 1
     except DiscrimPowerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,7 +3,8 @@
 The pipeline here ties the pieces together: score both qrel sets over
 the same runs, run the significance test twice, and assemble agreement
 metrics into one report row per candidate. Sweeps repeat that for a grid
-of sampling fractions and repetitions.
+of sampling fractions and repetitions, one cell after another; the only
+parallelism is the significance test's own split of its iterations.
 
 All exports are plain deterministic text so that identical inputs and
 seeds give byte-identical files.
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -212,32 +212,6 @@ class SweepResult:
     summary: dict[float, dict[str, tuple[Optional[float], Optional[float], int]]]
 
 
-def _sweep_cell(
-    runs: RunSet,
-    gt_qrels: Qrels,
-    gt_ss: SignificanceSet,
-    means_gt: dict[str, float],
-    fraction: float,
-    repetition: int,
-    sampling: SamplingConfig,
-    spec: MeasureSpec,
-    sig_cfg: SigTestConfig,
-    kappa_threshold: int,
-) -> dict:
-    cand = percentage_sample(gt_qrels, sampling, repetition)
-    cand_matrix = score_matrix(runs, cand, spec)
-    cand_ss = tukey_hsd_pvalues(cand_matrix, sig_cfg)
-    report = full_report(
-        gt_ss, cand_ss, gt_qrels, cand, means_gt, mean_scores(cand_matrix),
-        kappa_threshold=kappa_threshold,
-    )
-    row = {"fraction": fraction, "repetition": repetition}
-    full = report_row(report, dataset="", qrels_name="")
-    for col in SWEEP_METRICS + ("fp", "fn", "tp", "tn", "flags"):
-        row[col] = full[col]
-    return row
-
-
 def summarize_rows(
     rows: list[dict],
     fractions: list[float],
@@ -276,50 +250,41 @@ def run_sweep(
     """Compare a percentage sample against the truth for every cell.
 
     The ground-truth side (score matrix, significance set) is computed
-    once and shared. Cells are independent, so worker count changes only
-    wall time, never results: rows are assembled in (fraction,
-    repetition) order whatever finishes first.
+    once and shared. Cells run in (fraction, repetition) order.
+    ``n_workers`` replaces ``sig_cfg.n_workers`` for every significance
+    test of the sweep, the ground-truth one included; the test splits its
+    iterations across workers on 1024-iteration blocks, so the worker
+    count changes only wall time, never results.
     """
     if not fractions:
         raise ConfigurationError("need at least one sampling fraction")
-    if n_workers < 1:
-        raise ConfigurationError("n_workers must be >= 1")
+    sig_cfg = dataclasses.replace(sig_cfg, n_workers=n_workers)
     gt_matrix = score_matrix(runs, gt_qrels, spec)
     gt_ss = tukey_hsd_pvalues(gt_matrix, sig_cfg)
     means_gt = mean_scores(gt_matrix)
-    # Cells must not spawn nested process pools.
-    cell_sig = dataclasses.replace(sig_cfg, n_workers=1)
 
-    cells = [
-        (
-            fraction,
-            rep,
-            SamplingConfig(
-                fraction=fraction,
-                repetitions=repetitions,
-                master_seed=master_seed,
-                relevant_threshold=relevant_threshold,
-                stratified=stratified,
-            ),
+    rows = []
+    for fraction in fractions:
+        sampling = SamplingConfig(
+            fraction=fraction,
+            repetitions=repetitions,
+            master_seed=master_seed,
+            relevant_threshold=relevant_threshold,
+            stratified=stratified,
         )
-        for fraction in fractions
-        for rep in range(repetitions)
-    ]
-    if n_workers == 1:
-        rows = [
-            _sweep_cell(runs, gt_qrels, gt_ss, means_gt, fraction, rep,
-                        sampling, spec, cell_sig, kappa_threshold)
-            for fraction, rep, sampling in cells
-        ]
-    else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = [
-                pool.submit(_sweep_cell, runs, gt_qrels, gt_ss, means_gt,
-                            fraction, rep, sampling, spec, cell_sig,
-                            kappa_threshold)
-                for fraction, rep, sampling in cells
-            ]
-            rows = [f.result() for f in futures]
+        for rep in range(repetitions):
+            cand = percentage_sample(gt_qrels, sampling, rep)
+            cand_matrix = score_matrix(runs, cand, spec)
+            cand_ss = tukey_hsd_pvalues(cand_matrix, sig_cfg)
+            report = full_report(
+                gt_ss, cand_ss, gt_qrels, cand, means_gt, mean_scores(cand_matrix),
+                kappa_threshold=kappa_threshold,
+            )
+            row = {"fraction": fraction, "repetition": rep}
+            full = report_row(report, dataset="", qrels_name="")
+            for col in SWEEP_METRICS + ("fp", "fn", "tp", "tn", "flags"):
+                row[col] = full[col]
+            rows.append(row)
 
     return SweepResult(
         fractions=list(fractions),

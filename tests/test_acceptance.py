@@ -144,7 +144,7 @@ def test_criterion_06_sampling_contracts(mini):
 
     sweep_kw = dict(
         fractions=[0.3, 0.7], repetitions=2, master_seed=11,
-        sig_cfg=SigTestConfig(permutations=400, master_seed=4),
+        sig_cfg=SigTestConfig(permutations=1500, master_seed=4),  # two blocks
     )
     a = sweep_to_csv(run_sweep(runs, qrels, n_workers=1, **sweep_kw), "full")
     b = sweep_to_csv(run_sweep(runs, qrels, n_workers=2, **sweep_kw), "full")

@@ -147,6 +147,32 @@ def test_bad_config_line_exits_1(workspace, tmp_path, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, qrels, named", [
+    (b"k=abc\n", "gt", "'abc'"),
+    (b"permutation=100\n", "gt", "permutation"),
+    (b"k=\xff\n", "gt", "UTF-8"),
+    (None, "runs_dir", "Is a directory"),
+    (None, "latin1", "latin1.qrels"),
+], ids=["config-bad-value", "config-unknown-key", "config-not-utf8",
+        "qrels-is-a-directory", "qrels-not-utf8"])
+def test_bad_input_gives_one_error_line(workspace, tmp_path, config, qrels, named):
+    latin1 = tmp_path / "latin1.qrels"
+    latin1.write_bytes(b"q1 0 caf\xe9 1\n")
+    paths = dict(workspace, latin1=str(latin1))
+    args = ["evaluate", "--runs-dir", workspace["runs_dir"],
+            "--qrels", paths[qrels]]
+    if config is not None:
+        path = tmp_path / "opts.cfg"
+        path.write_bytes(config)
+        args += ["--config", str(path)]
+    proc = _run_script("discrimpower.cli:main", *args, cwd=tmp_path)
+    assert proc.returncode in (1, 2)
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert named in lines[0]
+
+
 def test_generate_sample_identity(workspace, tmp_path):
     code = main([
         "generate", "sample", "--gt", workspace["gt"],

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from discrimpower import reporting
 from discrimpower.errors import ConfigurationError, ValidationError
 from discrimpower.reporting import (
     PAIR_COLUMNS,
@@ -21,7 +22,7 @@ from discrimpower.reporting import (
     sweep_summary_to_csv,
     sweep_to_csv,
 )
-from discrimpower.significance import SigTestConfig
+from discrimpower.significance import SigTestConfig, tukey_hsd_pvalues
 from discrimpower.trec import CANDIDATE, Qrels
 
 FAST_SIG = SigTestConfig(permutations=1500, master_seed=0)
@@ -140,13 +141,28 @@ def test_summary_matches_manual_recomputation(mini):
 
 def test_sweep_worker_invariance(mini):
     runs, qrels = mini
-    quick = SigTestConfig(permutations=300, master_seed=1)
+    # More than one 1024-iteration block, so two workers really split the test.
+    quick = SigTestConfig(permutations=1500, master_seed=1)
     kw = dict(fractions=[0.5], repetitions=3, master_seed=9, sig_cfg=quick)
     one = run_sweep(runs, qrels, n_workers=1, **kw)
     two = run_sweep(runs, qrels, n_workers=2, **kw)
     assert sweep_to_csv(one) == sweep_to_csv(two)
     assert sweep_to_csv(one, "full") == sweep_to_csv(two, "full")
     assert sweep_summary_to_csv(one) == sweep_summary_to_csv(two)
+
+
+def test_sweep_hands_its_worker_count_to_every_test(mini, monkeypatch):
+    runs, qrels = mini
+    seen = []
+
+    def recording(sm, cfg):
+        seen.append(cfg.n_workers)
+        return tukey_hsd_pvalues(sm, cfg)
+
+    monkeypatch.setattr(reporting, "tukey_hsd_pvalues", recording)
+    run_sweep(runs, qrels, fractions=[0.5, 1.0], repetitions=2,
+              sig_cfg=SigTestConfig(permutations=50, n_workers=3), n_workers=2)
+    assert seen == [2] * 5  # the ground truth, then four cells
 
 
 def test_sweep_validation(mini):
