@@ -30,19 +30,20 @@ def main():
         print("topics: ", ", ".join(runs.topics()))
         print(f"judgments: {len(qrels.judgments)}")
 
-        # Rankings come back sorted by score (ties broken by document id,
-        # descending) with ranks rewritten 1..n, the trec_eval convention.
+        # A Ranking holds doc ids and scores in rank order, sorted by score
+        # (ties broken by document id, descending), the trec_eval
+        # convention; the rank of doc_ids[i] is i + 1.
         tag = runs.systems()[0]
         topic = runs.topics()[0]
-        top = runs.runs[tag][topic][:3]
+        ranking = runs.runs[tag][topic]
         print(f"\ntop 3 of {tag} on {topic}:")
-        for doc in top:
-            grade = qrels.judgments.get((topic, doc.doc_id), 0)
-            print(f"  rank {doc.rank}: {doc.doc_id} score={doc.score:.3f} grade={grade}")
+        for i, (doc_id, score) in enumerate(zip(ranking.doc_ids[:3], ranking.scores)):
+            grade = qrels.judgments.get((topic, doc_id), 0)
+            print(f"  rank {i + 1}: {doc_id} score={score:.3f} grade={grade}")
 
-        ranking = [d.doc_id for d in runs.runs[tag][topic]]
         per_topic = {d: g for (t, d), g in qrels.judgments.items() if t == topic}
-        print(f"\nnDCG@10 for that ranking: {ndcg_at_k(ranking, per_topic, MeasureSpec()):.4f}")
+        ndcg = ndcg_at_k(ranking.doc_ids, per_topic, MeasureSpec())
+        print(f"\nnDCG@10 for that ranking: {ndcg:.4f}")
 
         sm = score_matrix(runs, qrels, MeasureSpec(k=10))
         print("\nfull score matrix (systems x topics):")

@@ -72,7 +72,7 @@ from .synth import (
 )
 from .trec import (
     Qrels,
-    RankedDoc,
+    Ranking,
     RunSet,
     load_qrels,
     load_run,
@@ -86,7 +86,7 @@ from .trec import (
     serialize_run,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "ConfigurationError",
@@ -139,7 +139,7 @@ __all__ = [
     "percentage_sample",
     "popularity_biased",
     "Qrels",
-    "RankedDoc",
+    "Ranking",
     "RunSet",
     "load_qrels",
     "load_run",

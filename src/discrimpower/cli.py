@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import re
 import sys
 from pathlib import Path
@@ -45,6 +44,7 @@ from .trec import (
     load_run,
     merge_runs,
     serialize_qrels,
+    write_atomic,
 )
 
 DEFAULT_FRACTIONS = "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0"
@@ -92,7 +92,7 @@ class _Options:
         self.args = args
         self.config_path = getattr(args, "config", None)
         self.config = _load_config(self.config_path) if self.config_path else {}
-        known = set(vars(args)) - {"command", "method", "func", "config"}
+        known = set(vars(args)) - {"command", "method", "func", "choices", "config"}
         unknown = sorted(set(self.config) - known)
         if unknown:
             raise ConfigurationError(
@@ -106,22 +106,25 @@ class _Options:
         if name not in self.config:
             return default
         raw = self.config[name]
-        if convert is None:
-            return raw
         try:
-            return convert(raw)
+            value = raw if convert is None else convert(raw)
         except (ValueError, ConfigurationError) as exc:
             raise ConfigurationError(
                 f"{self.config_path}: invalid value for {name}: {raw!r}"
             ) from exc
+        choices = self.args.choices.get(name)
+        if choices is not None and value not in choices:
+            raise ConfigurationError(
+                f"{self.config_path}: invalid value for {name}: {raw!r} "
+                f"(choose from {', '.join(choices)})"
+            )
+        return value
 
 
 def _write_text(path: Path, text: str):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    write_atomic(path, text)
     print(f"wrote {path}")
 
 
@@ -418,6 +421,11 @@ def _add_sampling_flags(p: argparse.ArgumentParser):
                    default=None, help="sample per topic instead of globally")
 
 
+def _bind(p: argparse.ArgumentParser, func) -> None:
+    # A config value is held to the same choices as the flag it stands for.
+    p.set_defaults(func=func, choices={a.dest: a.choices for a in p._actions if a.choices})
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="discrimpower",
@@ -437,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="binarisation grade for label agreement (default 2)")
     p.add_argument("--dataset", help="dataset label for the report row")
     p.add_argument("--name", help="candidate label for the report row")
-    p.set_defaults(func=cmd_compare)
+    _bind(p, cmd_compare)
 
     p = sub.add_parser("sweep", help="percentage-sampling sweep")
     _add_common_flags(p)
@@ -450,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated sampling fractions")
     p.add_argument("--repetitions", type=int, help="samples per fraction (default 10)")
     p.add_argument("--kappa-threshold", dest="kappa_threshold", type=int)
-    p.set_defaults(func=cmd_sweep)
+    _bind(p, cmd_sweep)
 
     p = sub.add_parser("generate", help="produce candidate qrels")
     gen_sub = p.add_subparsers(dest="method", required=True)
@@ -465,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--repetitions", type=int, help="samples per fraction (default 1)")
     g.add_argument("--seed", type=int, help="master seed (default 0)")
     g.add_argument("--max-grade", dest="max_grade", type=int)
-    g.set_defaults(func=cmd_generate_sample)
+    _bind(g, cmd_generate_sample)
 
     g = gen_sub.add_parser("popularity", help="label most-retrieved documents relevant")
     _add_common_flags(g)
@@ -479,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relevant fraction for --p-mode explicit")
     g.add_argument("--relevant-threshold", dest="relevant_threshold", type=int)
     g.add_argument("--max-grade", dest="max_grade", type=int)
-    g.set_defaults(func=cmd_generate_popularity)
+    _bind(g, cmd_generate_popularity)
 
     g = gen_sub.add_parser("llm", help="zero-shot relevance labelling over HTTP")
     _add_common_flags(g)
@@ -503,14 +511,14 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--skip-failures", dest="skip_failures",
                    action=argparse.BooleanOptionalAction, default=None)
     g.add_argument("--max-grade", dest="max_grade", type=int)
-    g.set_defaults(func=cmd_generate_llm)
+    _bind(g, cmd_generate_llm)
 
     p = sub.add_parser("plot", help="render a comparison or sweep CSV to SVG")
     _add_common_flags(p)
     p.add_argument("--pairs", help="pairs.csv from compare")
     p.add_argument("--sweep", help="sweep.csv from sweep")
     p.add_argument("--out", help="output SVG path")
-    p.set_defaults(func=cmd_plot)
+    _bind(p, cmd_plot)
 
     p = sub.add_parser("evaluate", help="export the score matrix as CSV")
     _add_common_flags(p, out_dir=False)
@@ -519,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p)
     _add_measure_flags(p)
     p.add_argument("--qrels", required=True, help="qrels file to score against")
-    p.set_defaults(func=cmd_evaluate)
+    _bind(p, cmd_evaluate)
 
     return parser
 

@@ -43,6 +43,27 @@ def _gain(grade: int, kind: str) -> float:
     return float(2 ** grade - 1)
 
 
+def _dcg(grades: Sequence[int], kind: str) -> float:
+    # Grades in rank order; the discount of rank i is log2(i + 1).
+    total = 0.0
+    for i, grade in enumerate(grades):
+        if grade > 0:
+            total += _gain(grade, kind) / math.log2(i + 2)
+    return total
+
+
+def _ideal_dcg(topic_judgments: Mapping[str, int], spec: MeasureSpec) -> float:
+    return _dcg(sorted(topic_judgments.values(), reverse=True)[:spec.k], spec.gain)
+
+
+def _ndcg(ranking: Sequence[str], topic_judgments: Mapping[str, int], idcg: float,
+          spec: MeasureSpec) -> float:
+    if idcg == 0.0:
+        return 0.0
+    grades = [topic_judgments.get(doc_id, 0) for doc_id in ranking[:spec.k]]
+    return _dcg(grades, spec.gain) / idcg
+
+
 def ndcg_at_k(ranking: Sequence[str], topic_judgments: Mapping[str, int],
               spec: MeasureSpec = MeasureSpec()) -> float:
     """nDCG@k of one ranking against one topic's judgments.
@@ -53,20 +74,7 @@ def ndcg_at_k(ranking: Sequence[str], topic_judgments: Mapping[str, int],
     graded document score 0. The discount of rank i is log2(i + 1) with
     ranks starting at 1.
     """
-    k = spec.k
-    dcg = 0.0
-    for i, doc_id in enumerate(ranking[:k]):
-        grade = topic_judgments.get(doc_id, 0)
-        if grade > 0:
-            dcg += _gain(grade, spec.gain) / math.log2(i + 2)
-    idcg = 0.0
-    ideal = sorted(topic_judgments.values(), reverse=True)[:k]
-    for i, grade in enumerate(ideal):
-        if grade > 0:
-            idcg += _gain(grade, spec.gain) / math.log2(i + 2)
-    if idcg == 0.0:
-        return 0.0
-    return dcg / idcg
+    return _ndcg(ranking, topic_judgments, _ideal_dcg(topic_judgments, spec), spec)
 
 
 @dataclass
@@ -133,14 +141,14 @@ def score_matrix(runs: RunSet, qrels: Qrels,
     if not set(runs.topics()) & set(topics):
         raise ConfigurationError("runs and qrels share no topics")
     by_topic = qrels.by_topic()
+    ideal = {topic: _ideal_dcg(by_topic[topic], spec) for topic in topics}
     values = np.zeros((len(systems), len(topics)))
     for i, tag in enumerate(systems):
         per_topic = runs.runs[tag]
         for j, topic in enumerate(topics):
-            docs = per_topic.get(topic)
-            if docs:
-                ranking = [d.doc_id for d in docs]
-                values[i, j] = ndcg_at_k(ranking, by_topic[topic], spec)
+            ranking = per_topic.get(topic)
+            if ranking is not None:
+                values[i, j] = _ndcg(ranking.doc_ids, by_topic[topic], ideal[topic], spec)
     return ScoreMatrix(systems, topics, values)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .trec import Qrels, RankedDoc, RunSet, save_qrels, serialize_run
+from .trec import Qrels, Ranking, RunSet, save_qrels, serialize_run, write_atomic
 
 
 def build_mini_collection(
@@ -51,7 +51,7 @@ def build_mini_collection(
             judgments[(topic, docs[di])] = int(grade)
     qrels = Qrels(judgments=judgments)
 
-    runs: dict[str, dict[str, list[RankedDoc]]] = {}
+    runs: dict[str, dict[str, Ranking]] = {}
     for si, tag in enumerate(tags):
         runs[tag] = {}
         for ti, topic in enumerate(topics):
@@ -63,10 +63,8 @@ def build_mini_collection(
             )
             utility = grade_vec * qualities[si] + rng.normal(0.0, 0.35, n_docs)
             order = np.argsort(-utility)[:run_depth]
-            runs[tag][topic] = [
-                RankedDoc(docs[di], float(utility[di]), rank + 1)
-                for rank, di in enumerate(order)
-            ]
+            runs[tag][topic] = Ranking(tuple(docs[di] for di in order),
+                                       tuple(utility[order].tolist()))
     return RunSet(runs=runs), qrels
 
 
@@ -86,6 +84,6 @@ def write_mini_collection(out_dir: Path, **kwargs) -> tuple[Path, list[Path]]:
     run_paths = []
     for tag in runs.systems():
         path = runs_dir / f"{tag}.run"
-        path.write_text(serialize_run(RunSet(runs={tag: runs.runs[tag]})))
+        write_atomic(path, serialize_run(RunSet(runs={tag: runs.runs[tag]})))
         run_paths.append(path)
     return qrels_path, run_paths

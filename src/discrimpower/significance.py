@@ -13,10 +13,12 @@ Determinism contract: iterations are grouped in blocks of ``_BLOCK`` =
 ``k`` come from one counter-based stream keyed on ``(master_seed, k, t)``.
 Workers split the run on block boundaries only, so p-values are
 bit-identical for a fixed seed regardless of execution order or worker
-count. Every block is drawn in full and the last one truncated, so the
-first ``B'`` iterations of a run with ``B > B'`` iterations are the run
-with ``B'``. Sampled p-values for a given seed differ from version 0.1.0,
-which keyed one stream on each (seed, iteration, topic).
+count. A short last block draws only the rows it uses; numpy's
+``Generator.permuted`` shuffles rows in order, so these are the first
+rows of the full block, and the first ``B'`` iterations of a run with
+``B > B'`` iterations are the run with ``B'``. Sampled p-values for a
+given seed differ from version 0.1.0, which keyed one stream on each
+(seed, iteration, topic).
 """
 
 from __future__ import annotations
@@ -118,8 +120,8 @@ def _null_blocks(values: np.ndarray, master_seed: int, first: int, last: int,
         # score of the system that iteration k places in slot s. Fancy
         # indexing copies, so topic 0's gather can start the sum.
         for t in range(n):
-            perms = _block_stream(master_seed, block, t).permuted(identity, axis=1)
-            col = values[perms[:size], t]
+            perms = _block_stream(master_seed, block, t).permuted(identity[:size], axis=1)
+            col = values[perms, t]
             if t == 0:
                 acc = col
             else:

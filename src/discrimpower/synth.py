@@ -135,9 +135,9 @@ def popularity_counts(runs: RunSet, gt: Qrels, depth: int = 100) -> dict:
     counts: dict[tuple[str, str], int] = {}
     judged = set(gt.judgments)
     for tag in runs.systems():
-        for topic, docs in runs.runs[tag].items():
-            for doc in docs[:depth]:
-                key = (topic, doc.doc_id)
+        for topic, ranking in runs.runs[tag].items():
+            for doc_id in ranking.doc_ids[:depth]:
+                key = (topic, doc_id)
                 if key in judged:
                     counts[key] = counts.get(key, 0) + 1
     return counts

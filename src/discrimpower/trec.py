@@ -9,6 +9,8 @@ be shared freely between threads and processes.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -19,22 +21,23 @@ GROUND_TRUTH = "ground_truth"
 CANDIDATE = "candidate"
 
 
-class RankedDoc(NamedTuple):
-    doc_id: str
-    score: float
-    rank: int
+class Ranking(NamedTuple):
+    """One topic's ranking: ``doc_ids[i]`` has ``scores[i]`` and rank ``i + 1``."""
+
+    doc_ids: tuple[str, ...]
+    scores: tuple[float, ...]
 
 
 @dataclass
 class RunSet:
     """Per-system, per-topic rankings.
 
-    ``runs[system_tag][topic_id]`` is a list of :class:`RankedDoc` sorted
-    by (score descending, doc_id descending) and re-ranked 1..n, the
-    dominant evaluation-tool convention for tie-breaking.
+    ``runs[system_tag][topic_id]`` is a :class:`Ranking` sorted by (score
+    descending, doc_id descending), the dominant evaluation-tool
+    convention for tie-breaking.
     """
 
-    runs: dict[str, dict[str, list[RankedDoc]]] = field(default_factory=dict)
+    runs: dict[str, dict[str, Ranking]] = field(default_factory=dict)
 
     def systems(self) -> list[str]:
         return sorted(self.runs)
@@ -82,18 +85,12 @@ def _iter_lines(source) -> Iterator[str]:
     return iter(source)  # file object or any iterable of lines
 
 
-def _normalize(entries: list[tuple[str, float]]) -> list[RankedDoc]:
-    # Score descending, doc_id descending on ties; ranks rewritten 1..n.
-    ordered = sorted(entries, key=lambda e: (e[1], e[0]), reverse=True)
-    return [RankedDoc(doc, score, i + 1) for i, (doc, score) in enumerate(ordered)]
-
-
 def parse_run(source, system_tag_override: str | None = None) -> RunSet:
     """Parse one system's TREC run file.
 
     The tag column (or ``system_tag_override``) becomes the system tag.
-    Input order is irrelevant: every topic is re-sorted by (score
-    descending, doc_id descending) and re-ranked from 1.
+    Input order and the rank column are ignored: every topic becomes a
+    :class:`Ranking` sorted by (score descending, doc_id descending).
 
     Raises :class:`ParseError` for malformed lines, and
     :class:`ValidationError` for duplicate documents within a topic or
@@ -133,10 +130,12 @@ def parse_run(source, system_tag_override: str | None = None) -> RunSet:
         docs[doc_id] = score
     if tag_seen is None:
         return RunSet()
-    normalized = {
-        topic: _normalize(list(docs.items())) for topic, docs in topics.items()
-    }
-    return RunSet({tag_seen: normalized})
+    rankings = {}
+    for topic, docs in topics.items():
+        # Sorting (score, doc_id) pairs descending breaks ties on doc_id.
+        scores, doc_ids = zip(*sorted(zip(docs.values(), docs.keys()), reverse=True))
+        rankings[topic] = Ranking(doc_ids, scores)
+    return RunSet({tag_seen: rankings})
 
 
 def parse_qrels(source, max_grade: int = 3, role: str = GROUND_TRUTH) -> Qrels:
@@ -194,14 +193,15 @@ def serialize_run(runset: RunSet) -> str:
     for tag in runset.systems():
         per_topic = runset.runs[tag]
         for topic in sorted(per_topic):
-            for doc in per_topic[topic]:
-                lines.append(f"{topic} Q0 {doc.doc_id} {doc.rank} {doc.score!r} {tag}\n")
+            ranking = per_topic[topic]
+            for i, (doc_id, score) in enumerate(zip(ranking.doc_ids, ranking.scores)):
+                lines.append(f"{topic} Q0 {doc_id} {i + 1} {score!r} {tag}\n")
     return "".join(lines)
 
 
 def merge_runs(fragments: Iterable[RunSet]) -> RunSet:
     """Combine single-system fragments; duplicate tags are an error."""
-    combined: dict[str, dict[str, list[RankedDoc]]] = {}
+    combined: dict[str, dict[str, Ranking]] = {}
     for fragment in fragments:
         for tag, topics in fragment.runs.items():
             if tag in combined:
@@ -240,5 +240,23 @@ def load_qrels(path, max_grade: int = 3, role: str = GROUND_TRUTH) -> Qrels:
         return parse_qrels(fh, max_grade=max_grade, role=role)
 
 
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 through a temporary file.
+
+    The temporary file sits next to ``path`` under a name unique to this
+    process and thread, and ``os.replace`` moves it into place, so
+    readers see the old file or the whole new one. A failed write
+    removes the temporary file and leaves ``path`` as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_qrels(qrels: Qrels, path) -> None:
-    Path(path).write_text(serialize_qrels(qrels), encoding="utf-8")
+    write_atomic(path, serialize_qrels(qrels))

@@ -31,7 +31,7 @@ from discrimpower.synth import PopularityConfig, SamplingConfig, percentage_samp
 from discrimpower.trec import (
     CANDIDATE,
     Qrels,
-    RankedDoc,
+    Ranking,
     RunSet,
     parse_qrels,
     parse_run,
@@ -165,10 +165,8 @@ def test_criterion_07_popularity_matches_oracle():
             chosen = rng.choice(30, size=15, replace=False)
             scores = rng.normal(size=15)
             order = np.argsort(-scores)
-            runs[tag][topic] = [
-                RankedDoc(docs[chosen[i]], float(scores[i]), rank + 1)
-                for rank, i in enumerate(order)
-            ]
+            runs[tag][topic] = Ranking(tuple(docs[chosen[i]] for i in order),
+                                       tuple(float(scores[i]) for i in order))
     runset = RunSet(runs=runs)
     judgments = {}
     for topic in topics:

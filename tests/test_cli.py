@@ -147,20 +147,22 @@ def test_bad_config_line_exits_1(workspace, tmp_path, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("config, qrels, named", [
-    (b"k=abc\n", "gt", "'abc'"),
-    (b"permutation=100\n", "gt", "permutation"),
-    (b"k=\xff\n", "gt", "UTF-8"),
-    (None, "runs_dir", "Is a directory"),
-    (None, "latin1", "latin1.qrels"),
+@pytest.mark.parametrize("command, config, qrels, named", [
+    ("evaluate", b"k=abc\n", "gt", "'abc'"),
+    ("evaluate", b"permutation=100\n", "gt", "permutation"),
+    ("evaluate", b"k=\xff\n", "gt", "UTF-8"),
+    ("evaluate", None, "runs_dir", "Is a directory"),
+    ("evaluate", None, "latin1", "latin1.qrels"),
+    ("sweep", b"precision=ful\n", "gt", "opts.cfg: invalid value for precision: 'ful'"),
 ], ids=["config-bad-value", "config-unknown-key", "config-not-utf8",
-        "qrels-is-a-directory", "qrels-not-utf8"])
-def test_bad_input_gives_one_error_line(workspace, tmp_path, config, qrels, named):
+        "qrels-is-a-directory", "qrels-not-utf8", "config-value-not-a-choice"])
+def test_bad_input_gives_one_error_line(workspace, tmp_path, command, config, qrels,
+                                        named):
     latin1 = tmp_path / "latin1.qrels"
     latin1.write_bytes(b"q1 0 caf\xe9 1\n")
     paths = dict(workspace, latin1=str(latin1))
-    args = ["evaluate", "--runs-dir", workspace["runs_dir"],
-            "--qrels", paths[qrels]]
+    qrels_flag = "--qrels" if command == "evaluate" else "--gt"
+    args = [command, "--runs-dir", workspace["runs_dir"], qrels_flag, paths[qrels]]
     if config is not None:
         path = tmp_path / "opts.cfg"
         path.write_bytes(config)

@@ -171,6 +171,20 @@ def test_sampled_null_is_a_prefix_of_longer_runs():
     assert short.tobytes() == long[:1500].tobytes()
 
 
+@pytest.mark.parametrize("seed, m, n", [(0, 2, 1), (8, 3, 7), (2**63 + 5, 6, 4),
+                                         (123456789, 11, 2)])
+def test_short_blocks_are_prefixes_of_a_full_block(seed, m, n):
+    # A run shorter than one block shuffles only the rows it uses. That
+    # gives the same bits as the full block only because numpy's
+    # Generator.permuted(..., axis=1) shuffles rows in order.
+    values = np.random.default_rng(seed % 1000).random((m, n))
+    full = _sampled_null(values, SigTestConfig(permutations=BLOCK, master_seed=seed))
+    for permutations in (1, 200, BLOCK - 1):
+        short = _sampled_null(values, SigTestConfig(permutations=permutations,
+                                                    master_seed=seed))
+        assert short.tobytes() == full[:permutations].tobytes()
+
+
 # chi-square upper tail for 5 degrees of freedom at probability 1e-9
 _CHI2_5DF_1E9 = 50.69
 

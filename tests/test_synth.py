@@ -172,10 +172,10 @@ def test_popularity_depth_limits_counting():
 def brute_popularity(gt, runs, depth, n_select_per_topic):
     counts = {}
     for tag in runs.systems():
-        for topic, docs in runs.runs[tag].items():
-            for doc in docs[:depth]:
-                if (topic, doc.doc_id) in gt.judgments:
-                    counts[(topic, doc.doc_id)] = counts.get((topic, doc.doc_id), 0) + 1
+        for topic, ranking in runs.runs[tag].items():
+            for doc_id in ranking.doc_ids[:depth]:
+                if (topic, doc_id) in gt.judgments:
+                    counts[(topic, doc_id)] = counts.get((topic, doc_id), 0) + 1
     out = {}
     topics = sorted({t for t, _ in gt.judgments})
     for topic in topics:
@@ -189,7 +189,7 @@ def brute_popularity(gt, runs, depth, n_select_per_topic):
 
 def test_popularity_random_instance_matches_oracle():
     rng = np.random.default_rng(9)
-    from discrimpower.trec import RankedDoc, RunSet
+    from discrimpower.trec import Ranking, RunSet
 
     docs = [f"d{i:02d}" for i in range(20)]
     runs = {}
@@ -200,10 +200,8 @@ def test_popularity_random_instance_matches_oracle():
             chosen = rng.choice(20, size=12, replace=False)
             scores = rng.normal(size=12)
             order = np.argsort(-scores)
-            runs[tag][f"q{t}"] = [
-                RankedDoc(docs[chosen[i]], float(scores[i]), rank + 1)
-                for rank, i in enumerate(order)
-            ]
+            runs[tag][f"q{t}"] = Ranking(tuple(docs[chosen[i]] for i in order),
+                                         tuple(float(scores[i]) for i in order))
     runset = RunSet(runs=runs)
     judgments = {}
     for t in range(3):
@@ -224,7 +222,7 @@ def test_popularity_per_topic_fraction_bound():
     # Per-topic mode matches the relevant count exactly; global mode's
     # ceiling overshoot stays below one document's worth.
     rng = np.random.default_rng(10)
-    from discrimpower.trec import RankedDoc, RunSet
+    from discrimpower.trec import Ranking, RunSet
 
     judgments = {}
     sizes = {"q0": 7, "q1": 11, "q2": 4}
@@ -234,7 +232,7 @@ def test_popularity_per_topic_fraction_bound():
             judgments[(topic, f"d{i}")] = 1 if i < rel else 0
     gt = Qrels(judgments=judgments)
     runs = RunSet(runs={"s": {
-        topic: [RankedDoc(f"d{i}", float(-i), i + 1) for i in range(n)]
+        topic: Ranking(tuple(f"d{i}" for i in range(n)), tuple(float(-i) for i in range(n)))
         for topic, n in sizes.items()
     }})
 

@@ -1,5 +1,11 @@
+import os
+import pathlib
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discrimpower.errors import ParseError, ValidationError
 from discrimpower.trec import (
@@ -15,6 +21,7 @@ from discrimpower.trec import (
     save_qrels,
     serialize_qrels,
     serialize_run,
+    write_atomic,
 )
 
 RUN_TEXT = """\
@@ -34,16 +41,16 @@ q2 0 d9 1
 
 def test_parse_run_orders_by_score_then_docid():
     rs = parse_run(RUN_TEXT)
-    docs = rs.runs["sysA"]["q1"]
-    assert [d.doc_id for d in docs] == ["d3", "d2", "d1"]  # tie broken doc_id desc
-    assert [d.rank for d in docs] == [1, 2, 3]
-    assert docs[0].score == 9.5
+    ranking = rs.runs["sysA"]["q1"]
+    assert list(ranking.doc_ids) == ["d3", "d2", "d1"]  # tie broken doc_id desc
+    assert [line.split()[3] for line in serialize_run(rs).splitlines()[:3]] == ["1", "2", "3"]
+    assert ranking.scores[0] == 9.5
 
 
 def test_parse_run_rewrites_nonsense_ranks():
     text = "q1 Q0 dA 40 2.0 s\nq1 Q0 dB 1 5.0 s\n"
-    docs = parse_run(text).runs["s"]["q1"]
-    assert [(d.doc_id, d.rank) for d in docs] == [("dB", 1), ("dA", 2)]
+    lines = serialize_run(parse_run(text)).splitlines()
+    assert [tuple(line.split()[2:4]) for line in lines] == [("dB", "1"), ("dA", "2")]
 
 
 def test_parse_run_column_count_error_names_line():
@@ -69,7 +76,7 @@ def test_parse_run_multiple_tags_needs_override():
         parse_run(text)
     rs = parse_run(text, system_tag_override="merged")
     assert rs.systems() == ["merged"]
-    assert len(rs.runs["merged"]["q1"]) == 2
+    assert len(rs.runs["merged"]["q1"].doc_ids) == 2
 
 
 def test_parse_run_empty_input():
@@ -175,8 +182,143 @@ def test_load_helpers(tmp_path):
     assert load_runs_dir(qdir).systems() == ["one", "two"]
 
 
+def test_write_atomic_failure_leaves_no_partial_file(tmp_path, monkeypatch):
+    target = tmp_path / "out.qrels"
+    real_write_text = pathlib.Path.write_text
+
+    def disk_full(self, text, encoding=None):
+        real_write_text(self, text[: len(text) // 2], encoding=encoding)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(pathlib.Path, "write_text", disk_full)
+    with pytest.raises(OSError, match="No space"):
+        save_qrels(parse_qrels(QRELS_TEXT), target)
+    assert list(tmp_path.iterdir()) == []
+
+    monkeypatch.undo()
+    target.write_text("old\n")
+
+    def no_space(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", no_space)
+    with pytest.raises(OSError, match="No space"):
+        write_atomic(target, "new\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.qrels"]
+    assert target.read_text() == "old\n"
+
+
+def test_write_atomic_temp_names_differ_per_thread(tmp_path, monkeypatch):
+    temps = []
+    real_replace = os.replace
+
+    def spy(src, dst):
+        temps.append(pathlib.Path(src).name)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", spy)
+    write_atomic(tmp_path / "a.txt", "main\n")
+    worker = threading.Thread(target=write_atomic, args=(tmp_path / "a.txt", "thread\n"))
+    worker.start()
+    worker.join()
+    assert len(set(temps)) == 2
+    assert all(f"-{os.getpid()}-" in name for name in temps)
+    assert (tmp_path / "a.txt").read_text() == "thread\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+
+
 def test_save_qrels(tmp_path):
     q = parse_qrels(QRELS_TEXT)
     path = tmp_path / "out.qrels"
     save_qrels(q, path)
     assert parse_qrels(path.read_text()) == q
+
+
+# Parse and validation errors, each with its exact message; a blank line
+# still counts towards the line number.
+@pytest.mark.parametrize("text, kind, message", [
+    ("q1 Q0 d1 1 2.0 s\n\nq1 Q0 d2 1 2.0\n", ParseError,
+     "line 3: expected 6 columns, got 5"),
+    ("q1 Q0 d1 1 2.0 s x\n", ParseError, "line 1: expected 6 columns, got 7"),
+    ("q1 Q0 d1 1 2.0 s\nq1 Q0 d2 x 2.0\n", ParseError,
+     "line 2: expected 6 columns, got 5"),
+    ("q1 Q0 d1 1 2.0 s\nq1 Q0 d2 1.0 2.0 s\n", ParseError,
+     "line 2: rank is not an integer: '1.0'"),
+    ("q1 Q0 d1 x notafloat s\n", ParseError, "line 1: rank is not an integer: 'x'"),
+    ("\tq1 Q0 d1 1 2,5 s\n", ParseError, "line 1: score is not a number: '2,5'"),
+    ("q1 Q0 d1 1 2.0 one\nq1 Q0 d2 2 1.0 two\n", ValidationError,
+     "run file mixes system tags 'one' and 'two'; "
+     "pass a system tag override to read it as a single system"),
+    ("q1 Q0 d1 1 2.0 s\nq2 Q0 d1 1 2.0 s\nq1 Q0 d1 2 1.0 s\n", ValidationError,
+     "duplicate document 'd1' for topic 'q1' in run 's'"),
+], ids=["columns-few", "columns-many", "columns-before-rank", "rank-float",
+        "rank-before-score", "score", "mixed-tags", "duplicate-doc"])
+def test_parse_run_error_messages(text, kind, message):
+    with pytest.raises(kind) as info:
+        parse_run(text)
+    assert type(info.value) is kind
+    assert str(info.value) == message
+    if kind is ParseError:
+        assert info.value.line_no == int(message.split(":")[0].split()[1])
+
+
+def test_parse_run_override_names_its_tag_in_errors():
+    text = "q1 Q0 d1 1 2.0 one\nq1 Q0 d1 2 1.0 two\n"
+    with pytest.raises(ValidationError) as info:
+        parse_run(text, system_tag_override="merged")
+    assert str(info.value) == "duplicate document 'd1' for topic 'q1' in run 'merged'"
+
+
+def _reference_serialize(text: str, tag: str) -> str:
+    # The serialised form of a parsed run, written out independently of
+    # the parser: score descending, doc id descending on ties, ranks 1..n,
+    # scores as repr.
+    topics: dict[str, list[tuple[str, float]]] = {}
+    for raw in text.splitlines():
+        parts = raw.split()
+        if parts:
+            topics.setdefault(parts[0], []).append((parts[2], float(parts[4])))
+    lines = []
+    for topic in sorted(topics):
+        ordered = sorted(topics[topic], key=lambda e: (e[1], e[0]), reverse=True)
+        lines += [f"{topic} Q0 {doc} {i + 1} {score!r} {tag}\n"
+                  for i, (doc, score) in enumerate(ordered)]
+    return "".join(lines)
+
+
+_SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.5e-8, -7e300]),  # ties
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_SCORE_TEXT = [repr, lambda x: f"{x:e}", lambda x: f"{x:.3E}", lambda x: f"{x:.17g}"]
+
+
+@st.composite
+def _run_texts(draw):
+    lines = []
+    for topic in draw(st.lists(st.sampled_from(["q1", "q2", "q10", "301"]),
+                               min_size=1, max_size=3, unique=True)):
+        docs = draw(st.lists(st.sampled_from([f"d{i}" for i in range(12)] + ["D0", "a-1"]),
+                             min_size=1, max_size=8, unique=True))
+        for doc in docs:
+            score = draw(_SCORES)
+            form = draw(st.sampled_from(_SCORE_TEXT))
+            rank = draw(st.integers(-3, 2000))
+            sep = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+            lines.append(sep.join([topic, "Q0", doc, str(rank), form(score), "sys"]))
+    lines = draw(st.permutations(lines))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t"])))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(text=_run_texts())
+def test_parse_serialize_round_trip(text):
+    rs = parse_run(text)
+    out = serialize_run(rs)
+    assert out == _reference_serialize(text, "sys")
+    again = parse_run(out)
+    assert serialize_run(again) == out
+    if "nan" not in out:  # nan != nan, so only NaN-free run sets compare equal
+        assert again == rs
