@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from . import reporting, svgplot
-from .errors import ConfigurationError, DiscrimPowerError, ParseError, ValidationError
+from .errors import ConfigurationError, DiscrimPowerError
 from .measures import EXPONENTIAL, LINEAR, MeasureSpec, score_matrix
 from .significance import SigTestConfig
 from .synth import (
@@ -41,8 +41,8 @@ from .trec import (
     CANDIDATE,
     GROUND_TRUTH,
     load_qrels,
-    load_run,
-    merge_runs,
+    load_runs,
+    load_runs_dir,
     serialize_qrels,
     write_atomic,
 )
@@ -128,13 +128,6 @@ def _write_text(path: Path, text: str):
     print(f"wrote {path}")
 
 
-def _load_qrels_checked(path, max_grade: int, role: str):
-    try:
-        return load_qrels(path, max_grade=max_grade, role=role)
-    except (ParseError, ValidationError, UnicodeDecodeError) as exc:
-        raise DiscrimPowerError(f"{path}: {exc}") from exc
-
-
 def _load_runset(opts: _Options):
     runs_dir = opts.get("runs_dir", None)
     run_list = opts.get("run", None, convert=lambda raw: raw.split(","))
@@ -142,30 +135,14 @@ def _load_runset(opts: _Options):
     if runs_dir and run_list:
         raise ConfigurationError("give either --runs-dir or --run, not both")
     if runs_dir:
-        directory = Path(runs_dir)
-        if not directory.is_dir():
-            raise FileNotFoundError(2, "no such directory", str(directory))
-        paths = sorted(p for p in directory.iterdir() if p.is_file())
-        if not paths:
-            raise ConfigurationError(f"no run files in {directory}")
-    elif run_list:
-        paths = [Path(p) for p in run_list]
-    else:
-        raise ConfigurationError("no runs given: use --runs-dir or --run")
-    fragments = []
-    for path in paths:
-        try:
-            fragments.append(load_run(path, tag_from_filename=tag_from_filename))
-        except (ParseError, ValidationError, UnicodeDecodeError) as exc:
-            raise DiscrimPowerError(f"{path}: {exc}") from exc
-    return merge_runs(fragments)
+        return load_runs_dir(runs_dir, tag_from_filename)
+    if run_list:
+        return load_runs(run_list, tag_from_filename)
+    raise ConfigurationError("no runs given: use --runs-dir or --run")
 
 
 def _measure_spec(opts: _Options) -> MeasureSpec:
-    return MeasureSpec(
-        k=opts.get("k", 10, int),
-        gain=opts.get("gain", LINEAR),
-    )
+    return MeasureSpec(k=opts.get("k", 10, int), gain=opts.get("gain", LINEAR))
 
 
 def _sig_config(opts: _Options) -> SigTestConfig:
@@ -185,8 +162,8 @@ def cmd_compare(args) -> int:
     max_grade = opts.get("max_grade", 3, int)
 
     runs = _load_runset(opts)
-    gt = _load_qrels_checked(args.gt, max_grade, GROUND_TRUTH)
-    cand = _load_qrels_checked(args.cand, max_grade, CANDIDATE)
+    gt = load_qrels(args.gt, max_grade, GROUND_TRUTH)
+    cand = load_qrels(args.cand, max_grade, CANDIDATE)
     cmp = reporting.compare_qrels(
         runs,
         gt,
@@ -216,7 +193,7 @@ def cmd_sweep(args) -> int:
     max_grade = opts.get("max_grade", 3, int)
 
     runs = _load_runset(opts)
-    gt = _load_qrels_checked(args.gt, max_grade, GROUND_TRUTH)
+    gt = load_qrels(args.gt, max_grade, GROUND_TRUTH)
     sig_cfg = _sig_config(opts)
     result = reporting.run_sweep(
         runs,
@@ -243,7 +220,7 @@ def cmd_generate_sample(args) -> int:
     opts = _Options(args)
     out_dir = Path(opts.get("out_dir", "."))
     max_grade = opts.get("max_grade", 3, int)
-    gt = _load_qrels_checked(args.gt, max_grade, GROUND_TRUTH)
+    gt = load_qrels(args.gt, max_grade, GROUND_TRUTH)
 
     single = opts.get("fraction", None, float)
     listed = opts.get("fractions", None, _parse_fractions)
@@ -275,7 +252,7 @@ def cmd_generate_popularity(args) -> int:
     opts = _Options(args)
     out_dir = Path(opts.get("out_dir", "."))
     max_grade = opts.get("max_grade", 3, int)
-    gt = _load_qrels_checked(args.gt, max_grade, GROUND_TRUTH)
+    gt = load_qrels(args.gt, max_grade, GROUND_TRUTH)
     runs = _load_runset(opts)
     p_mode = opts.get("p_mode", PER_TOPIC)
     explicit_p = opts.get("explicit_p", None, float)
@@ -298,7 +275,7 @@ def cmd_generate_llm(args) -> int:
     opts = _Options(args)
     out_dir = Path(opts.get("out_dir", "."))
     max_grade = opts.get("max_grade", 3, int)
-    gt = _load_qrels_checked(args.gt, max_grade, GROUND_TRUTH)
+    gt = load_qrels(args.gt, max_grade, GROUND_TRUTH)
 
     endpoint = opts.get("endpoint", None)
     model = opts.get("model", None)
@@ -365,7 +342,7 @@ def cmd_evaluate(args) -> int:
     opts = _Options(args)
     max_grade = opts.get("max_grade", 3, int)
     runs = _load_runset(opts)
-    qrels = _load_qrels_checked(args.qrels, max_grade, GROUND_TRUTH)
+    qrels = load_qrels(args.qrels, max_grade, GROUND_TRUTH)
     sm = score_matrix(runs, qrels, _measure_spec(opts))
     out_dir = opts.get("out_dir", None)
     if out_dir is None:

@@ -155,18 +155,17 @@ def _kappa_with_flag(gt: Qrels, cand: Qrels, threshold: int) -> tuple[float, boo
     1.0 for perfect observed agreement and 0.0 otherwise; the flag marks
     that degenerate case.
     """
-    common = sorted(set(gt.judgments) & set(cand.judgments))
+    common = gt.judgments.keys() & cand.judgments.keys()
     if not common:
         raise ValidationError("no shared judged (topic, document) pairs")
     n = len(common)
-    both = sum(
-        1
-        for key in common
-        if (gt.judgments[key] >= threshold) == (cand.judgments[key] >= threshold)
-    )
-    p_o = both / n
-    pos_gt = sum(1 for key in common if gt.judgments[key] >= threshold) / n
-    pos_cand = sum(1 for key in common if cand.judgments[key] >= threshold) / n
+    both = pos_gt = pos_cand = 0  # integer counts: the order of keys does not matter
+    for key in common:
+        rel_gt, rel_cand = gt.judgments[key] >= threshold, cand.judgments[key] >= threshold
+        both += rel_gt == rel_cand
+        pos_gt += rel_gt
+        pos_cand += rel_cand
+    p_o, pos_gt, pos_cand = both / n, pos_gt / n, pos_cand / n
     p_e = pos_gt * pos_cand + (1 - pos_gt) * (1 - pos_cand)
     if p_e == 1.0:
         return (1.0 if p_o == 1.0 else 0.0), True

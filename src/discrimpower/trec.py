@@ -5,23 +5,29 @@ Run files are whitespace-separated six-column lines
 (``topic iteration docid grade``). Parsed collections are plain
 dataclasses and are treated as immutable after construction, so they can
 be shared freely between threads and processes.
+
+Run files loaded together share one ``str`` per distinct document id,
+which deep runs repeat across systems and topics. The ``load_*``
+functions name the file in every error they raise for its contents.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
-from .errors import ParseError, ValidationError
+from .errors import DiscrimPowerError, ParseError, ValidationError
 
 GROUND_TRUTH = "ground_truth"
 CANDIDATE = "candidate"
 
 
-class Ranking(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class Ranking:
     """One topic's ranking: ``doc_ids[i]`` has ``scores[i]`` and rank ``i + 1``."""
 
     doc_ids: tuple[str, ...]
@@ -96,6 +102,11 @@ def parse_run(source, system_tag_override: str | None = None) -> RunSet:
     :class:`ValidationError` for duplicate documents within a topic or
     for files mixing several system tags without an override.
     """
+    return _parse_run(source, system_tag_override, {})
+
+
+def _parse_run(source, system_tag_override: str | None, ids: dict[str, str]) -> RunSet:
+    # ``ids`` maps each doc id to the one string kept for it across a load.
     tag_seen: str | None = None
     topics: dict[str, dict[str, float]] = {}
     for line_no, raw in enumerate(_iter_lines(source), start=1):
@@ -127,7 +138,7 @@ def parse_run(source, system_tag_override: str | None = None) -> RunSet:
             raise ValidationError(
                 f"duplicate document {doc_id!r} for topic {topic!r} in run {tag!r}"
             )
-        docs[doc_id] = score
+        docs[ids.setdefault(doc_id, doc_id)] = score
     if tag_seen is None:
         return RunSet()
     rankings = {}
@@ -210,12 +221,28 @@ def merge_runs(fragments: Iterable[RunSet]) -> RunSet:
     return RunSet(combined)
 
 
+@contextmanager
+def _naming(path):
+    # A parse error keeps its type; undecodable text becomes a DiscrimPowerError.
+    try:
+        yield
+    except (ParseError, ValidationError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+    except UnicodeDecodeError as exc:
+        raise DiscrimPowerError(f"{path}: {exc}") from exc
+
+
+def _load_run(path: Path, override: str | None, ids: dict[str, str]) -> RunSet:
+    with _naming(path), open(path, encoding="utf-8") as fh:
+        return _parse_run(fh, override, ids)
+
+
 def load_run(path, system_tag_override: str | None = None,
              tag_from_filename: bool = False) -> RunSet:
+    """Load one run file; errors name the file."""
     path = Path(path)
-    override = path.stem if tag_from_filename else system_tag_override
-    with open(path, encoding="utf-8") as fh:
-        return parse_run(fh, override)
+    return _load_run(path, path.stem if tag_from_filename else system_tag_override, {})
 
 
 def load_runs(paths, tag_from_filename: bool = False) -> RunSet:
@@ -223,7 +250,8 @@ def load_runs(paths, tag_from_filename: bool = False) -> RunSet:
     paths = [Path(p) for p in paths]
     if not paths:
         raise ValidationError("no run files given")
-    return merge_runs(load_run(p, tag_from_filename=tag_from_filename) for p in paths)
+    ids: dict[str, str] = {}
+    return merge_runs(_load_run(p, p.stem if tag_from_filename else None, ids) for p in paths)
 
 
 def load_runs_dir(directory, tag_from_filename: bool = False) -> RunSet:
@@ -236,7 +264,8 @@ def load_runs_dir(directory, tag_from_filename: bool = False) -> RunSet:
 
 
 def load_qrels(path, max_grade: int = 3, role: str = GROUND_TRUTH) -> Qrels:
-    with open(path, encoding="utf-8") as fh:
+    """Load one qrels file; errors name the file."""
+    with _naming(path), open(path, encoding="utf-8") as fh:
         return parse_qrels(fh, max_grade=max_grade, role=role)
 
 

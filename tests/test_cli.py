@@ -175,6 +175,55 @@ def test_bad_input_gives_one_error_line(workspace, tmp_path, command, config, qr
     assert named in lines[0]
 
 
+def _run_error_case(root, case):
+    """(CLI arguments, exit code, stderr line) for one bad run input."""
+    runs = root / "runs"
+    runs.mkdir()
+    bad = runs / "bad.run"
+    if case == "missing-dir":
+        return ["--runs-dir", root / "nowhere"], 2, f"error: file not found: {root / 'nowhere'}"
+    if case == "runs-dir-is-a-file":
+        bad.write_text("q1 Q0 d1 1 1.0 s\n")
+        return ["--runs-dir", bad], 2, f"error: {bad}: Not a directory"
+    if case == "empty-dir":
+        return ["--runs-dir", runs], 1, f"error: no run files in {runs}"
+    if case == "not-utf8":
+        bad.write_bytes(b"q1 Q0 caf\xe9 1 1.0 s\n")
+        return (["--runs-dir", runs], 1, f"error: {bad}: 'utf-8' codec can't decode "
+                "byte 0xe9 in position 9: invalid continuation byte")
+    if case == "bad-line":
+        bad.write_text("q1 Q0 d1 1 1.0 s\nq1 Q0 d2 2 0.5\n")
+        return ["--runs-dir", runs], 1, f"error: {bad}: line 2: expected 6 columns, got 5"
+    if case == "bad-score":
+        bad.write_text("q1 Q0 d1 1 high s\n")
+        return (["--run", bad], 1,
+                f"error: {bad}: line 1: score is not a number: 'high'")
+    if case == "mixed-tags":
+        bad.write_text("q1 Q0 d1 1 1.0 s\nq1 Q0 d2 2 0.5 t\n")
+        return (["--runs-dir", runs], 1, f"error: {bad}: run file mixes system tags "
+                "'s' and 't'; pass a system tag override to read it as a single system")
+    if case == "duplicate-doc":
+        bad.write_text("q1 Q0 d1 1 1.0 s\nq1 Q0 d1 2 0.5 s\n")
+        return (["--runs-dir", runs], 1,
+                f"error: {bad}: duplicate document 'd1' for topic 'q1' in run 's'")
+    if case == "duplicate-tag":
+        bad.write_text("q1 Q0 d1 1 1.0 s\n")
+        (runs / "copy.run").write_text("q1 Q0 d1 1 1.0 s\n")
+        return ["--runs-dir", runs], 1, "error: duplicate system tag 's' across run files"
+    assert case == "missing-run-file"
+    return ["--run", bad], 2, f"error: file not found: {bad}"
+
+
+@pytest.mark.parametrize("case", [
+    "missing-dir", "runs-dir-is-a-file", "empty-dir", "not-utf8", "bad-line", "bad-score", "mixed-tags",
+    "duplicate-doc", "duplicate-tag", "missing-run-file",
+])
+def test_run_input_errors_keep_their_message(workspace, tmp_path, capsys, case):
+    run_args, code, line = _run_error_case(tmp_path, case)
+    assert main(["evaluate", "--qrels", workspace["gt"], *map(str, run_args)]) == code
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
 def test_generate_sample_identity(workspace, tmp_path):
     code = main([
         "generate", "sample", "--gt", workspace["gt"],

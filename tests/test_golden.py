@@ -1,0 +1,103 @@
+"""Golden CLI outputs: the SHA-256 of every file the CLI writes.
+
+A fixed ``write_mini_collection`` set (12 systems x 15 topics, runs 120
+deep) is written to a temporary directory, every subcommand runs on it
+in-process, and each output file's digest is compared with
+``golden_digests.json``. A change that alters outputs on purpose
+regenerates the digests in the same commit and says so in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from discrimpower.cli import main
+from discrimpower.minicollection import write_mini_collection
+
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+COLLECTION = dict(n_systems=12, n_topics=15, n_docs=200, judged_per_topic=60,
+                  run_depth=120, seed=7)
+
+
+def _cli(*args):
+    code = main([str(a) for a in args])
+    assert code == 0, args
+
+
+def write_outputs(root: Path) -> Path:
+    """Run every subcommand on the golden collection; return the output root."""
+    gt, _ = write_mini_collection(root / "collection", **COLLECTION)
+    runs = gt.parent / "runs"
+    out = root / "out"
+
+    _cli("generate", "sample", "--gt", gt, "--fractions", "0.3,0.6",
+         "--repetitions", 2, "--seed", 1, "--out-dir", out / "sample")
+    _cli("generate", "popularity", "--gt", gt, "--runs-dir", runs,
+         "--out-dir", out / "popularity")
+    _cli("generate", "popularity", "--gt", gt, "--runs-dir", runs, "--depth", 50,
+         "--p-mode", "explicit", "--explicit-p", 0.4, "--out-dir", out / "popularity")
+    _cli("evaluate", "--qrels", gt, "--runs-dir", runs, "--out-dir", out / "evaluate-linear")
+    _cli("evaluate", "--qrels", gt, "--runs-dir", runs, "--gain", "exponential",
+         "--k", 20, "--out-dir", out / "evaluate-exponential")
+
+    cand = out / "sample" / "sample_0.3_0.qrels"
+    for b in (200, 1500):
+        for workers in (1, 2):
+            for precision in ("4", "full"):
+                _cli("compare", "--gt", gt, "--cand", cand, "--runs-dir", runs,
+                     "--permutations", b, "--workers", workers, "--seed", 3,
+                     "--precision", precision,
+                     "--out-dir", out / f"compare-B{b}-w{workers}-{precision}")
+    for workers in (1, 2):
+        for precision in ("4", "full"):
+            _cli("sweep", "--gt", gt, "--runs-dir", runs, "--fractions", "0.3,0.7",
+                 "--repetitions", 2, "--permutations", 1500, "--workers", workers,
+                 "--precision", precision,
+                 "--out-dir", out / f"sweep-w{workers}-{precision}")
+
+    _cli("plot", "--pairs", out / "compare-B1500-w1-4" / "pairs.csv",
+         "--out", out / "plot" / "scatter.svg")
+    _cli("plot", "--sweep", out / "sweep-w1-4" / "sweep.csv",
+         "--out", out / "plot" / "sweep.svg")
+    return out
+
+
+def digests(out: Path) -> dict[str, str]:
+    return {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*"))
+        if path.is_file()
+    }
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    return digests(write_outputs(tmp_path_factory.mktemp("golden")))
+
+
+def test_cli_outputs_match_golden_digests(outputs):
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert sorted(outputs) == sorted(expected)
+    changed = [name for name in expected if outputs[name] != expected[name]]
+    assert changed == []
+
+
+def test_worker_count_does_not_change_outputs(outputs):
+    pairs = [(name, name.replace("-w1-", "-w2-")) for name in outputs if "-w1-" in name]
+    assert len(pairs) == 4 * 3 + 2 * 2
+    for one, two in pairs:
+        assert outputs[one] == outputs[two], one
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        table = digests(write_outputs(Path(tmp)))
+    DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(table)} digests to {DIGESTS}", file=sys.stderr)

@@ -1,5 +1,7 @@
+import dataclasses
 import os
 import pathlib
+import pickle
 import threading
 
 import numpy as np
@@ -7,13 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discrimpower.errors import ParseError, ValidationError
+from discrimpower.errors import DiscrimPowerError, ParseError, ValidationError
+from discrimpower.minicollection import write_mini_collection
 from discrimpower.trec import (
     CANDIDATE,
     Qrels,
+    Ranking,
     RunSet,
     load_run,
     load_runs,
+    load_qrels,
     load_runs_dir,
     merge_runs,
     parse_qrels,
@@ -180,6 +185,89 @@ def test_load_helpers(tmp_path):
     (qdir / "one").write_text("q1 Q0 d1 1 1.0 one\n")
     (qdir / "two").write_text("q1 Q0 d1 1 1.0 two\n")
     assert load_runs_dir(qdir).systems() == ["one", "two"]
+
+
+def _doc_id_objects(runset):
+    """Every doc id of every ranking, as the objects the run set holds."""
+    return [doc for per_topic in runset.runs.values()
+            for ranking in per_topic.values() for doc in ranking.doc_ids]
+
+
+def test_runs_loaded_together_share_doc_id_strings(tmp_path):
+    qrels_path, run_paths = write_mini_collection(tmp_path, n_systems=4, n_topics=3,
+                                                  n_docs=40, run_depth=30)
+    for runset in (load_runs_dir(qrels_path.parent / "runs"), load_runs(run_paths)):
+        docs = _doc_id_objects(runset)
+        assert len(docs) == 4 * 3 * 30 and len(set(docs)) == 40
+        first: dict[str, str] = {}
+        assert all(first.setdefault(doc, doc) is doc for doc in docs)
+
+
+def test_parse_run_alone_is_unchanged(tmp_path):
+    expected = RunSet({"sysA": {
+        "q1": Ranking(("d3", "d2", "d1"), (9.5, 7.25, 7.25)),
+        "q2": Ranking(("d9",), (3.0,)),
+    }})
+    assert parse_run(RUN_TEXT) == expected
+    path = tmp_path / "a.run"
+    path.write_text(RUN_TEXT)
+    assert load_run(path) == expected
+    assert load_runs_dir(tmp_path) == expected
+
+
+def test_ranking_is_not_a_sequence():
+    ranking = Ranking(("d2", "d1"), (2.0, 1.0))
+    assert ranking == Ranking(doc_ids=("d2", "d1"), scores=(2.0, 1.0))
+    assert ranking != Ranking(("d1", "d2"), (2.0, 1.0))
+    assert [f.name for f in dataclasses.fields(Ranking)] == ["doc_ids", "scores"]
+    assert hash(ranking) == hash(Ranking(("d2", "d1"), (2.0, 1.0)))
+    with pytest.raises(TypeError):
+        len(ranking)
+    with pytest.raises(TypeError):
+        doc_ids, scores = ranking
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ranking.scores = ()
+
+
+def test_runset_pickle_round_trip(tmp_path):
+    _, run_paths = write_mini_collection(tmp_path, n_systems=3, n_topics=2, run_depth=10)
+    runset = load_runs(run_paths)
+    copy = pickle.loads(pickle.dumps(runset))
+    assert copy == runset and copy is not runset
+    assert type(copy.runs["sys1"]["q01"]) is Ranking
+    docs = _doc_id_objects(copy)
+    assert len({id(doc) for doc in docs}) == len(set(docs))  # pickle keeps the sharing
+
+
+@pytest.mark.parametrize("name, content, kind, message", [
+    ("bad.run", "q1 Q0 d1 1 1.0 s\nq1 Q0 d2 x 0.5 s\n", ParseError,
+     "line 2: rank is not an integer: 'x'"),
+    ("dup.run", "q1 Q0 d1 1 1.0 s\nq1 Q0 d1 2 0.5 s\n", ValidationError,
+     "duplicate document 'd1' for topic 'q1' in run 's'"),
+])
+def test_load_runs_dir_errors_name_the_file(tmp_path, name, content, kind, message):
+    (tmp_path / "good.run").write_text("q1 Q0 d1 1 1.0 g\n")
+    path = tmp_path / name
+    path.write_text(content)
+    with pytest.raises(kind) as info:
+        load_runs_dir(tmp_path)
+    assert str(info.value) == f"{path}: {message}"
+    if kind is ParseError:
+        assert info.value.line_no == 2
+
+
+def test_load_errors_for_non_utf8_name_the_file(tmp_path):
+    run = tmp_path / "latin1.run"
+    run.write_bytes(b"q1 Q0 caf\xe9 1 1.0 s\n")
+    with pytest.raises(DiscrimPowerError, match=f"^{run}: 'utf-8' codec"):
+        load_runs([run])
+    qrels = tmp_path / "latin1.qrels"
+    qrels.write_bytes(b"q1 0 caf\xe9 1\n")
+    with pytest.raises(DiscrimPowerError, match=f"^{qrels}: 'utf-8' codec"):
+        load_qrels(qrels)
+    qrels.write_text("q1 0 d1 x\n")
+    with pytest.raises(ParseError, match=f"^{qrels}: line 1: grade is not an integer"):
+        load_qrels(qrels)
 
 
 def test_write_atomic_failure_leaves_no_partial_file(tmp_path, monkeypatch):
