@@ -142,7 +142,10 @@ def _load_runset(opts: _Options):
 
 
 def _measure_spec(opts: _Options) -> MeasureSpec:
-    return MeasureSpec(k=opts.get("k", 10, int), gain=opts.get("gain", LINEAR))
+    return MeasureSpec(
+        k=opts.get("k", 10, int),
+        gain=opts.get("gain", LINEAR),
+    )
 
 
 def _sig_config(opts: _Options) -> SigTestConfig:

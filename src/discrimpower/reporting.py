@@ -171,26 +171,11 @@ def report_row(report: DiscrimReport, dataset: str, qrels_name: str) -> dict:
     }
 
 
-def _to_csv(columns, rows: list[dict], precision: str) -> str:
-    """Report, pair and sweep tables: ``fraction`` and ``p_*`` cells are exact,
-    ``mean_*`` cells get 6 decimals, the rest follow :func:`format_value`."""
-
-    def cell(col: str, value) -> str:
-        if col == "fraction":
-            return repr(float(value))
-        if col.startswith("p_"):
-            return repr(value)
-        if col.startswith("mean_"):
-            return repr(value) if precision == "full" else f"{value:.6f}"
-        return format_value(value, precision)
-
-    lines = [",".join(columns)]
-    lines += [",".join(cell(c, row[c]) for c in columns) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
 def report_to_csv(rows: list[dict], precision: str = "4") -> str:
-    return _to_csv(REPORT_COLUMNS, rows, precision)
+    lines = [",".join(REPORT_COLUMNS)]
+    for row in rows:
+        lines.append(",".join(format_value(row[c], precision) for c in REPORT_COLUMNS))
+    return "\n".join(lines) + "\n"
 
 
 def report_to_json(rows: list[dict]) -> str:
@@ -199,7 +184,17 @@ def report_to_json(rows: list[dict]) -> str:
 
 
 def pairs_to_csv(rows: list[dict], precision: str = "4") -> str:
-    return _to_csv(PAIR_COLUMNS, rows, precision)
+    def cell(col: str, value) -> str:
+        if col.startswith("mean_"):
+            return repr(value) if precision == "full" else f"{value:.6f}"
+        if col.startswith("p_"):
+            return repr(value)
+        return format_value(value, precision)
+
+    lines = [",".join(PAIR_COLUMNS)]
+    for row in rows:
+        lines.append(",".join(cell(c, row[c]) for c in PAIR_COLUMNS))
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -300,18 +295,30 @@ def run_sweep(
 
 
 def sweep_to_csv(sr: SweepResult, precision: str = "4") -> str:
-    return _to_csv(SWEEP_COLUMNS, sr.rows, precision)
+    def cell(col: str, value) -> str:
+        if col == "fraction":
+            return repr(float(value))
+        return format_value(value, precision)
+
+    lines = [",".join(SWEEP_COLUMNS)]
+    for row in sr.rows:
+        lines.append(",".join(cell(c, row[c]) for c in SWEEP_COLUMNS))
+    return "\n".join(lines) + "\n"
 
 
 def sweep_summary_to_csv(sr: SweepResult, precision: str = "4") -> str:
-    stats = ("mean", "var", "n")
-    rows = [
-        {"fraction": fraction, **{
-            f"{metric}_{stat}": value
-            for metric in SWEEP_METRICS
-            for stat, value in zip(stats, sr.summary[fraction][metric])
-        }}
-        for fraction in sr.fractions
-    ]
-    columns = ["fraction"] + [f"{m}_{stat}" for m in SWEEP_METRICS for stat in stats]
-    return _to_csv(columns, rows, precision)
+    cols = ["fraction"]
+    for metric in SWEEP_METRICS:
+        cols += [f"{metric}_mean", f"{metric}_var", f"{metric}_n"]
+    lines = [",".join(cols)]
+    for fraction in sr.fractions:
+        cells = [repr(float(fraction))]
+        for metric in SWEEP_METRICS:
+            mean, var, n = sr.summary[fraction][metric]
+            cells += [
+                format_value(mean, precision),
+                format_value(var, precision),
+                str(n),
+            ]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"

@@ -6,9 +6,11 @@ Run files are whitespace-separated six-column lines
 dataclasses and are treated as immutable after construction, so they can
 be shared freely between threads and processes.
 
-Run files loaded together share one ``str`` per distinct document id,
-which deep runs repeat across systems and topics. The ``load_*``
-functions name the file in every error they raise for its contents.
+Run files loaded together share one ``str`` per distinct document id.
+That saves memory when ids repeat across systems and topics, and costs
+one dict lookup per run line, plus a pool entry per id, when they do
+not. The ``load_*`` functions name the file in every error they raise
+for its contents.
 """
 
 from __future__ import annotations
