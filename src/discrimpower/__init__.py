@@ -86,7 +86,7 @@ from .trec import (
     serialize_run,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "ConfigurationError",

@@ -63,8 +63,7 @@ def build_mini_collection(
             )
             utility = grade_vec * qualities[si] + rng.normal(0.0, 0.35, n_docs)
             order = np.argsort(-utility)[:run_depth]
-            runs[tag][topic] = Ranking(tuple(docs[di] for di in order),
-                                       tuple(utility[order].tolist()))
+            runs[tag][topic] = Ranking((docs[di] for di in order), utility[order])
     return RunSet(runs=runs), qrels
 
 

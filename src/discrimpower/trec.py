@@ -6,17 +6,20 @@ Run files are whitespace-separated six-column lines
 dataclasses and are treated as immutable after construction, so they can
 be shared freely between threads and processes.
 
-Run files loaded together share one ``str`` per distinct document id.
-That saves memory when ids repeat across systems and topics, and costs
-one dict lookup per run line, plus a pool entry per id, when they do
-not. The ``load_*`` functions name the file in every error they raise
-for its contents.
+A :class:`Ranking` keeps its scores as one packed ``array('d')``, eight
+bytes per run line, rather than a Python ``float`` object per line. Run
+files loaded together share one ``str`` per distinct document id. That
+saves memory when ids repeat across systems and topics, and costs one
+dict lookup per run line, plus a pool entry per id, when they do not.
+The ``load_*`` functions name the file in every error they raise for its
+contents, and the line of the first byte that is not UTF-8.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,10 +33,23 @@ CANDIDATE = "candidate"
 
 @dataclass(frozen=True, slots=True)
 class Ranking:
-    """One topic's ranking: ``doc_ids[i]`` has ``scores[i]`` and rank ``i + 1``."""
+    """One topic's ranking: ``doc_ids[i]`` has ``scores[i]`` and rank ``i + 1``.
+
+    Any iterables may be passed: ``doc_ids`` is stored as a tuple and
+    ``scores`` as a new ``array('d')``, so rankings built from tuples
+    equal parsed ones. ``tuple(ranking.scores)`` gives the scores as
+    Python floats.
+    """
 
     doc_ids: tuple[str, ...]
-    scores: tuple[float, ...]
+    scores: array
+
+    def __post_init__(self):
+        object.__setattr__(self, "doc_ids", tuple(self.doc_ids))
+        object.__setattr__(self, "scores", array("d", self.scores))
+
+    def __hash__(self):
+        return hash((self.doc_ids, tuple(self.scores)))
 
 
 @dataclass
@@ -100,7 +116,7 @@ def parse_run(source, system_tag_override: str | None = None) -> RunSet:
     Input order and the rank column are ignored: every topic becomes a
     :class:`Ranking` sorted by (score descending, doc_id descending).
 
-    Raises :class:`ParseError` for malformed lines, and
+    Raises :class:`ParseError` for malformed lines, NaN scores included, and
     :class:`ValidationError` for duplicate documents within a topic or
     for files mixing several system tags without an override.
     """
@@ -111,6 +127,8 @@ def _parse_run(source, system_tag_override: str | None, ids: dict[str, str]) -> 
     # ``ids`` maps each doc id to the one string kept for it across a load.
     tag_seen: str | None = None
     topics: dict[str, dict[str, float]] = {}
+    topic_seen: str | None = None
+    docs: dict[str, float]
     for line_no, raw in enumerate(_iter_lines(source), start=1):
         parts = raw.split()
         if not parts:
@@ -125,7 +143,9 @@ def _parse_run(source, system_tag_override: str | None, ids: dict[str, str]) -> 
         try:
             score = float(score_s)
         except ValueError:
-            raise ParseError(line_no, f"score is not a number: {score_s!r}") from None
+            score = float("nan")
+        if score != score:  # a NaN would leave the order to the input order
+            raise ParseError(line_no, f"score is not a number: {score_s!r}")
         if system_tag_override is not None:
             tag = system_tag_override
         if tag_seen is None:
@@ -135,7 +155,9 @@ def _parse_run(source, system_tag_override: str | None, ids: dict[str, str]) -> 
                 f"run file mixes system tags {tag_seen!r} and {tag!r}; "
                 "pass a system tag override to read it as a single system"
             )
-        docs = topics.setdefault(topic, {})
+        if topic != topic_seen:  # rare: run files group their lines by topic
+            docs = topics.setdefault(topic, {})
+            topic_seen = topic
         if doc_id in docs:
             raise ValidationError(
                 f"duplicate document {doc_id!r} for topic {topic!r} in run {tag!r}"
@@ -223,16 +245,32 @@ def merge_runs(fragments: Iterable[RunSet]) -> RunSet:
     return RunSet(combined)
 
 
+def _undecodable_line(path) -> ParseError | None:
+    # The text reader reports a position inside its current chunk, so the
+    # error path reads the file again as bytes to find the line. Lines end
+    # where universal newlines end them, and no UTF-8 sequence spans a
+    # line end, so the first line that fails is the one at fault.
+    for line_no, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return ParseError(line_no, str(exc))
+    return None
+
+
 @contextmanager
 def _naming(path):
-    # A parse error keeps its type; undecodable text becomes a DiscrimPowerError.
+    # A parse error keeps its type; undecodable text becomes a ParseError
+    # on the line that holds the bad byte.
     try:
         yield
     except (ParseError, ValidationError) as exc:
         exc.args = (f"{path}: {exc}",)
         raise
     except UnicodeDecodeError as exc:
-        raise DiscrimPowerError(f"{path}: {exc}") from exc
+        error = _undecodable_line(path) or DiscrimPowerError(str(exc))
+        error.args = (f"{path}: {error}",)
+        raise error from exc
 
 
 def _load_run(path: Path, override: str | None, ids: dict[str, str]) -> RunSet:

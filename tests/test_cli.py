@@ -147,22 +147,41 @@ def test_bad_config_line_exits_1(workspace, tmp_path, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, config, qrels, named", [
-    ("evaluate", b"k=abc\n", "gt", "'abc'"),
-    ("evaluate", b"permutation=100\n", "gt", "permutation"),
-    ("evaluate", b"k=\xff\n", "gt", "UTF-8"),
-    ("evaluate", None, "runs_dir", "Is a directory"),
-    ("evaluate", None, "latin1", "latin1.qrels"),
-    ("sweep", b"precision=ful\n", "gt", "opts.cfg: invalid value for precision: 'ful'"),
+EVALUATE = ["evaluate", "--runs-dir", "{runs_dir}", "--qrels", "{gt}"]
+COMPARE = ["compare", "--runs-dir", "{runs_dir}", "--gt", "{gt}", "--cand", "{gt}"]
+SWEEP = ["sweep", "--runs-dir", "{runs_dir}", "--gt", "{gt}"]
+
+
+@pytest.mark.parametrize("args, config, named", [
+    (EVALUATE, b"k=abc\n", "'abc'"),
+    (EVALUATE, b"permutation=100\n", "permutation"),
+    (EVALUATE, b"k=\xff\n", "UTF-8"),
+    (["evaluate", "--runs-dir", "{runs_dir}", "--qrels", "{runs_dir}"], None, "Is a directory"),
+    (["evaluate", "--runs-dir", "{runs_dir}", "--qrels", "{latin1}"], None, "latin1.qrels"),
+    (SWEEP, b"precision=ful\n", "opts.cfg: invalid value for precision: 'ful'"),
+    (EVALUATE + ["--k", "0"], None, "cutoff k must be >= 1, got 0"),
+    (COMPARE + ["--alpha", "1.5"], None, "alpha must be in (0, 1), got 1.5"),
+    (COMPARE + ["--permutations", "0"], None, "permutation count must be >= 1"),
+    (COMPARE + ["--workers", "0"], None, "n_workers must be >= 1"),
+    (COMPARE + ["--seed", "-1"], None, "master_seed must be a non-negative integer"),
+    (["generate", "sample", "--gt", "{gt}", "--fraction", "1.5"], None,
+     "fraction must be in [0, 1], got 1.5"),
+    (SWEEP + ["--repetitions", "0"], None, "repetitions must be >= 1"),
+    (SWEEP + ["--repetitions", "-1"], None, "repetitions must be >= 1"),
+    (EVALUATE + ["--max-grade", "-1"], None, "exceeds the maximum grade -1"),
+    (["generate", "popularity", "--runs-dir", "{runs_dir}", "--gt", "{gt}",
+      "--p-mode", "explicit"], None, "explicit mode needs explicit_p in [0, 1]"),
+    (["plot", "--pairs", "{gt}"], None, "scatter input is missing columns"),
 ], ids=["config-bad-value", "config-unknown-key", "config-not-utf8",
-        "qrels-is-a-directory", "qrels-not-utf8", "config-value-not-a-choice"])
-def test_bad_input_gives_one_error_line(workspace, tmp_path, command, config, qrels,
-                                        named):
+        "qrels-is-a-directory", "qrels-not-utf8", "config-value-not-a-choice",
+        "k-0", "alpha-1.5", "permutations-0", "workers-0", "seed-negative",
+        "fraction-1.5", "repetitions-0", "repetitions-negative", "max-grade-negative",
+        "explicit-mode-without-p", "plot-pairs-given-qrels"])
+def test_bad_input_gives_one_error_line(workspace, tmp_path, args, config, named):
     latin1 = tmp_path / "latin1.qrels"
     latin1.write_bytes(b"q1 0 caf\xe9 1\n")
     paths = dict(workspace, latin1=str(latin1))
-    qrels_flag = "--qrels" if command == "evaluate" else "--gt"
-    args = [command, "--runs-dir", workspace["runs_dir"], qrels_flag, paths[qrels]]
+    args = [arg.format(**paths) for arg in args]
     if config is not None:
         path = tmp_path / "opts.cfg"
         path.write_bytes(config)
@@ -189,8 +208,13 @@ def _run_error_case(root, case):
         return ["--runs-dir", runs], 1, f"error: no run files in {runs}"
     if case == "not-utf8":
         bad.write_bytes(b"q1 Q0 caf\xe9 1 1.0 s\n")
-        return (["--runs-dir", runs], 1, f"error: {bad}: 'utf-8' codec can't decode "
+        return (["--runs-dir", runs], 1, f"error: {bad}: line 1: 'utf-8' codec can't decode "
                 "byte 0xe9 in position 9: invalid continuation byte")
+    if case == "not-utf8-past-first-chunk":
+        good = "".join(f"q1 Q0 d{i} {i} 1.0 s\n" for i in range(1, 1201))
+        bad.write_bytes(good.encode() + b"q1 Q0 caf\xe9 1201 1.0 s\n")
+        return (["--runs-dir", runs], 1, f"error: {bad}: line 1201: 'utf-8' codec can't "
+                "decode byte 0xe9 in position 9: invalid continuation byte")
     if case == "bad-line":
         bad.write_text("q1 Q0 d1 1 1.0 s\nq1 Q0 d2 2 0.5\n")
         return ["--runs-dir", runs], 1, f"error: {bad}: line 2: expected 6 columns, got 5"
@@ -198,6 +222,9 @@ def _run_error_case(root, case):
         bad.write_text("q1 Q0 d1 1 high s\n")
         return (["--run", bad], 1,
                 f"error: {bad}: line 1: score is not a number: 'high'")
+    if case == "nan-score":
+        bad.write_text("q1 Q0 d1 1 1.0 s\nq1 Q0 d2 2 NaN s\n")
+        return ["--run", bad], 1, f"error: {bad}: line 2: score is not a number: 'NaN'"
     if case == "mixed-tags":
         bad.write_text("q1 Q0 d1 1 1.0 s\nq1 Q0 d2 2 0.5 t\n")
         return (["--runs-dir", runs], 1, f"error: {bad}: run file mixes system tags "
@@ -215,8 +242,9 @@ def _run_error_case(root, case):
 
 
 @pytest.mark.parametrize("case", [
-    "missing-dir", "runs-dir-is-a-file", "empty-dir", "not-utf8", "bad-line", "bad-score", "mixed-tags",
-    "duplicate-doc", "duplicate-tag", "missing-run-file",
+    "missing-dir", "runs-dir-is-a-file", "empty-dir", "not-utf8", "not-utf8-past-first-chunk",
+    "bad-line", "bad-score", "nan-score", "mixed-tags", "duplicate-doc", "duplicate-tag",
+    "missing-run-file",
 ])
 def test_run_input_errors_keep_their_message(workspace, tmp_path, capsys, case):
     run_args, code, line = _run_error_case(tmp_path, case)
