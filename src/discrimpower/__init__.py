@@ -7,149 +7,49 @@ differences: significance agreement (Type I / Type II error rates,
 balanced accuracy, MCC), label agreement (Cohen's kappa), and ranking
 agreement (Kendall's tau).
 
-The HTTP labelling module (:mod:`discrimpower.labeller`) is deliberately
-not imported here; the evaluation pipeline never needs it.
+Importing the package loads none of its modules. Each name below loads
+its defining module on first use, so ``import discrimpower.cli`` and
+``discrimpower.ParseError`` do not import numpy. The HTTP labelling
+module (:mod:`discrimpower.labeller`) is not listed here; the evaluation
+pipeline never needs it.
 """
 
-from .errors import (
-    ConfigurationError,
-    DiscrimPowerError,
-    ParseError,
-    ValidationError,
-)
-from .measures import (
-    EXPONENTIAL,
-    LINEAR,
-    MeasureSpec,
-    ScoreMatrix,
-    mean_scores,
-    ndcg_at_k,
-    score_matrix,
-    sequential_row_means,
-)
-from .metrics import (
-    ConfusionCounts,
-    DiscrimReport,
-    balanced_accuracy,
-    cohen_kappa,
-    confusion,
-    delta_sensitivity,
-    full_report,
-    kendall_tau,
-    mcc,
-    nonsig_precision_recall,
-    sensitivity,
-    sig_precision_recall,
-)
-from .minicollection import build_mini_collection, write_mini_collection
-from .reporting import (
-    Comparison,
-    SweepResult,
-    compare_qrels,
-    pair_rows,
-    report_row,
-    report_to_csv,
-    report_to_json,
-    run_sweep,
-    sweep_summary_to_csv,
-    sweep_to_csv,
-)
-from .significance import (
-    EXHAUSTIVE,
-    SAMPLED,
-    SignificanceSet,
-    SigTestConfig,
-    significance_partition,
-    significance_to_csv,
-    tukey_hsd_pvalues,
-)
-from .svgplot import render_scatter, render_sweep
-from .synth import (
-    PopularityConfig,
-    SamplingConfig,
-    percentage_sample,
-    popularity_biased,
-)
-from .trec import (
-    Qrels,
-    Ranking,
-    RunSet,
-    load_qrels,
-    load_run,
-    load_runs,
-    load_runs_dir,
-    merge_runs,
-    parse_qrels,
-    parse_run,
-    save_qrels,
-    serialize_qrels,
-    serialize_run,
-)
+import importlib
 
 __version__ = "0.4.0"
 
-__all__ = [
-    "ConfigurationError",
-    "DiscrimPowerError",
-    "ParseError",
-    "ValidationError",
-    "EXPONENTIAL",
-    "LINEAR",
-    "MeasureSpec",
-    "ScoreMatrix",
-    "mean_scores",
-    "ndcg_at_k",
-    "score_matrix",
-    "sequential_row_means",
-    "ConfusionCounts",
-    "DiscrimReport",
-    "balanced_accuracy",
-    "cohen_kappa",
-    "confusion",
-    "delta_sensitivity",
-    "full_report",
-    "kendall_tau",
-    "mcc",
-    "nonsig_precision_recall",
-    "sensitivity",
-    "sig_precision_recall",
-    "build_mini_collection",
-    "write_mini_collection",
-    "Comparison",
-    "SweepResult",
-    "compare_qrels",
-    "pair_rows",
-    "report_row",
-    "report_to_csv",
-    "report_to_json",
-    "run_sweep",
-    "sweep_summary_to_csv",
-    "sweep_to_csv",
-    "EXHAUSTIVE",
-    "SAMPLED",
-    "SignificanceSet",
-    "SigTestConfig",
-    "significance_partition",
-    "significance_to_csv",
-    "tukey_hsd_pvalues",
-    "render_scatter",
-    "render_sweep",
-    "PopularityConfig",
-    "SamplingConfig",
-    "percentage_sample",
-    "popularity_biased",
-    "Qrels",
-    "Ranking",
-    "RunSet",
-    "load_qrels",
-    "load_run",
-    "load_runs",
-    "load_runs_dir",
-    "merge_runs",
-    "parse_qrels",
-    "parse_run",
-    "save_qrels",
-    "serialize_qrels",
-    "serialize_run",
-    "__version__",
-]
+_EXPORTS = {
+    "errors": ("ConfigurationError", "DiscrimPowerError", "ParseError", "ValidationError"),
+    "measures": ("EXPONENTIAL", "LINEAR", "MeasureSpec", "ScoreMatrix", "mean_scores",
+                 "ndcg_at_k", "score_matrix", "sequential_row_means"),
+    "metrics": ("ConfusionCounts", "DiscrimReport", "balanced_accuracy", "cohen_kappa",
+                "confusion", "delta_sensitivity", "full_report", "kendall_tau", "mcc",
+                "nonsig_precision_recall", "sensitivity", "sig_precision_recall"),
+    "minicollection": ("build_mini_collection", "write_mini_collection"),
+    "reporting": ("Comparison", "SweepResult", "compare_qrels", "pair_rows", "report_row",
+                  "report_to_csv", "report_to_json", "run_sweep", "sweep_summary_to_csv",
+                  "sweep_to_csv"),
+    "significance": ("EXHAUSTIVE", "SAMPLED", "SignificanceSet", "SigTestConfig",
+                     "significance_partition", "significance_to_csv", "tukey_hsd_pvalues"),
+    "svgplot": ("render_scatter", "render_sweep"),
+    "synth": ("PopularityConfig", "SamplingConfig", "percentage_sample", "popularity_biased"),
+    "trec": ("Qrels", "Ranking", "RunSet", "load_qrels", "load_run", "load_runs",
+             "load_runs_dir", "merge_runs", "parse_qrels", "parse_run", "save_qrels",
+             "serialize_qrels", "serialize_run"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -24,19 +24,7 @@ import re
 import sys
 from pathlib import Path
 
-from . import reporting, svgplot
 from .errors import ConfigurationError, DiscrimPowerError
-from .measures import EXPONENTIAL, LINEAR, MeasureSpec, score_matrix
-from .significance import SigTestConfig
-from .synth import (
-    EXPLICIT,
-    GLOBAL,
-    PER_TOPIC,
-    PopularityConfig,
-    SamplingConfig,
-    percentage_sample,
-    popularity_biased,
-)
 from .trec import (
     CANDIDATE,
     GROUND_TRUTH,
@@ -46,6 +34,11 @@ from .trec import (
     serialize_qrels,
     write_atomic,
 )
+
+# Each command imports the modules it runs where it first needs them, so
+# building the parser, --help and option or config errors never load numpy.
+# For the same reason the --gain and --p-mode choices are spelled out; a test
+# holds them to the constants in measures and synth.
 
 DEFAULT_FRACTIONS = "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0"
 
@@ -141,14 +134,18 @@ def _load_runset(opts: _Options):
     raise ConfigurationError("no runs given: use --runs-dir or --run")
 
 
-def _measure_spec(opts: _Options) -> MeasureSpec:
+def _measure_spec(opts: _Options):
+    from .measures import LINEAR, MeasureSpec
+
     return MeasureSpec(
         k=opts.get("k", 10, int),
         gain=opts.get("gain", LINEAR),
     )
 
 
-def _sig_config(opts: _Options) -> SigTestConfig:
+def _sig_config(opts: _Options):
+    from .significance import SigTestConfig
+
     return SigTestConfig(
         alpha=opts.get("alpha", 0.05, float),
         permutations=opts.get("permutations", 10_000, int),
@@ -167,6 +164,8 @@ def cmd_compare(args) -> int:
     runs = _load_runset(opts)
     gt = load_qrels(args.gt, max_grade, GROUND_TRUTH)
     cand = load_qrels(args.cand, max_grade, CANDIDATE)
+    from . import reporting
+
     cmp = reporting.compare_qrels(
         runs,
         gt,
@@ -198,6 +197,8 @@ def cmd_sweep(args) -> int:
     runs = _load_runset(opts)
     gt = load_qrels(args.gt, max_grade, GROUND_TRUTH)
     sig_cfg = _sig_config(opts)
+    from . import reporting
+
     result = reporting.run_sweep(
         runs,
         gt,
@@ -232,6 +233,7 @@ def cmd_generate_sample(args) -> int:
     if single is None and listed is None:
         raise ConfigurationError("give a sampling fraction via --fraction or --fractions")
     fractions = listed if listed is not None else [single]
+    from .synth import SamplingConfig, percentage_sample
 
     repetitions = opts.get("repetitions", 1, int)
     for fraction in fractions:
@@ -257,6 +259,8 @@ def cmd_generate_popularity(args) -> int:
     max_grade = opts.get("max_grade", 3, int)
     gt = load_qrels(args.gt, max_grade, GROUND_TRUTH)
     runs = _load_runset(opts)
+    from .synth import EXPLICIT, PER_TOPIC, PopularityConfig, popularity_biased
+
     p_mode = opts.get("p_mode", PER_TOPIC)
     explicit_p = opts.get("explicit_p", None, float)
     cfg = PopularityConfig(
@@ -272,10 +276,9 @@ def cmd_generate_popularity(args) -> int:
 
 
 def cmd_generate_llm(args) -> int:
-    # Imported here so the rest of the tool works without the labeller.
-    from . import labeller
-
     opts = _Options(args)
+    from . import labeller  # the rest of the tool works without requests
+
     out_dir = Path(opts.get("out_dir", "."))
     max_grade = opts.get("max_grade", 3, int)
     gt = load_qrels(args.gt, max_grade, GROUND_TRUTH)
@@ -331,6 +334,8 @@ def cmd_plot(args) -> int:
     if bool(args.pairs) == bool(args.sweep):
         raise ConfigurationError("give exactly one of --pairs or --sweep")
     out_dir = Path(opts.get("out_dir", "."))
+    from . import svgplot
+
     if args.pairs:
         svg = svgplot.render_scatter(_read_csv_rows(args.pairs))
         out = Path(args.out) if args.out else out_dir / "scatter.svg"
@@ -346,6 +351,8 @@ def cmd_evaluate(args) -> int:
     max_grade = opts.get("max_grade", 3, int)
     runs = _load_runset(opts)
     qrels = load_qrels(args.qrels, max_grade, GROUND_TRUTH)
+    from .measures import score_matrix
+
     sm = score_matrix(runs, qrels, _measure_spec(opts))
     out_dir = opts.get("out_dir", None)
     if out_dir is None:
@@ -375,7 +382,7 @@ def _add_run_flags(p: argparse.ArgumentParser):
 
 def _add_measure_flags(p: argparse.ArgumentParser):
     p.add_argument("--k", type=int, help="rank cutoff (default 10)")
-    p.add_argument("--gain", choices=[LINEAR, EXPONENTIAL],
+    p.add_argument("--gain", choices=["linear", "exponential"],
                    help="gain function (default linear)")
     p.add_argument("--max-grade", dest="max_grade", type=int,
                    help="largest allowed relevance grade (default 3)")
@@ -461,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--gt", required=True)
     g.add_argument("--depth", type=int, help="retrieval-count depth (default 100)")
     g.add_argument("--p-mode", dest="p_mode",
-                   choices=[PER_TOPIC, GLOBAL, EXPLICIT],
+                   choices=["per_topic", "global", "explicit"],
                    help="how many documents per topic to label relevant")
     g.add_argument("--explicit-p", dest="explicit_p", type=float,
                    help="relevant fraction for --p-mode explicit")

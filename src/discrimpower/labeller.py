@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional, Sequence
 import requests
 
 from .errors import ConfigurationError, DiscrimPowerError
-from .trec import CANDIDATE, Qrels
+from .trec import CANDIDATE, Qrels, write_atomic
 
 log = logging.getLogger(__name__)
 
@@ -196,11 +196,16 @@ def label_pair(
     prompt = cfg.prompt_template.format(query=query_text, document=doc_text)
     cache_file = _cache_path(cfg, prompt)
     if cache_file is not None and cache_file.exists():
-        entry = json.loads(cache_file.read_text())
-        return LabelledPair(
-            topic_id, doc_id, entry["grade"], entry["raw_response"], True,
-            entry.get("clamped", False),
-        )
+        try:
+            entry = json.loads(cache_file.read_text(encoding="utf-8"))
+            return LabelledPair(
+                topic_id, doc_id, entry["grade"], entry["raw_response"], True,
+                entry.get("clamped", False),
+            )
+        except (ValueError, KeyError, TypeError):
+            # Not UTF-8, not JSON, or not an object with both fields: a
+            # miss, and the write below replaces the entry.
+            log.warning("ignoring corrupt cache entry %s", cache_file)
 
     if _limiter is not None:
         _limiter.wait()
@@ -209,11 +214,9 @@ def label_pair(
 
     if cache_file is not None:
         cache_file.parent.mkdir(parents=True, exist_ok=True)
-        tmp = cache_file.with_suffix(f".tmp-{os.getpid()}-{threading.get_ident()}")
-        tmp.write_text(json.dumps(
+        write_atomic(cache_file, json.dumps(
             {"grade": grade, "raw_response": reply, "clamped": clamped}
         ))
-        os.replace(tmp, cache_file)  # atomic, safe under concurrent writers
     return LabelledPair(topic_id, doc_id, grade, reply, False, clamped)
 
 

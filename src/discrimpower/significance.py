@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,6 +135,8 @@ def _sampled_null(values: np.ndarray, cfg: SigTestConfig) -> np.ndarray:
     workers = min(cfg.n_workers, n_blocks)
     if workers == 1:
         return _null_blocks(values, cfg.master_seed, 0, n_blocks, cfg.permutations)
+    from concurrent.futures import ProcessPoolExecutor  # one worker never loads multiprocessing
+
     bounds = [w * n_blocks // workers for w in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = pool.map(

@@ -17,6 +17,7 @@ contents, and the line of the first byte that is not UTF-8.
 
 from __future__ import annotations
 
+import io
 import os
 import threading
 from array import array
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import DiscrimPowerError, ParseError, ValidationError
+from .errors import ConfigurationError, DiscrimPowerError, ParseError, ValidationError
 
 GROUND_TRUTH = "ground_truth"
 CANDIDATE = "candidate"
@@ -102,10 +103,12 @@ class Qrels:
 
 
 def _iter_lines(source) -> Iterator[str]:
+    # Text is split as a text-mode file is: at \n, \r\n and \r only.
+    # str.splitlines would also split at \x0c, \x85, \u2028 and others.
     if isinstance(source, bytes):
         source = source.decode("utf-8")
     if isinstance(source, str):
-        return iter(source.splitlines())
+        return iter(io.StringIO(source, newline=None))
     return iter(source)  # file object or any iterable of lines
 
 
@@ -178,8 +181,11 @@ def parse_qrels(source, max_grade: int = 3, role: str = GROUND_TRUTH) -> Qrels:
 
     The second (iteration) column is ignored. Negative grades are clamped
     to 0 and counted in ``clamp_warnings``; grades above ``max_grade``
-    are rejected.
+    are rejected, and a negative ``max_grade`` is a
+    :class:`ConfigurationError`.
     """
+    if max_grade < 0:
+        raise ConfigurationError(f"max_grade must be >= 0, got {max_grade}")
     judgments: dict[tuple[str, str], int] = {}
     clamped = 0
     for line_no, raw in enumerate(_iter_lines(source), start=1):

@@ -168,7 +168,9 @@ SWEEP = ["sweep", "--runs-dir", "{runs_dir}", "--gt", "{gt}"]
      "fraction must be in [0, 1], got 1.5"),
     (SWEEP + ["--repetitions", "0"], None, "repetitions must be >= 1"),
     (SWEEP + ["--repetitions", "-1"], None, "repetitions must be >= 1"),
-    (EVALUATE + ["--max-grade", "-1"], None, "exceeds the maximum grade -1"),
+    (EVALUATE + ["--max-grade", "-1"], None, "error: max_grade must be >= 0, got -1"),
+    (["generate", "sample", "--gt", "{gt}", "--fraction", "0.5", "--max-grade", "-1"], None,
+     "error: max_grade must be >= 0, got -1"),
     (["generate", "popularity", "--runs-dir", "{runs_dir}", "--gt", "{gt}",
       "--p-mode", "explicit"], None, "explicit mode needs explicit_p in [0, 1]"),
     (["plot", "--pairs", "{gt}"], None, "scatter input is missing columns"),
@@ -176,7 +178,7 @@ SWEEP = ["sweep", "--runs-dir", "{runs_dir}", "--gt", "{gt}"]
         "qrels-is-a-directory", "qrels-not-utf8", "config-value-not-a-choice",
         "k-0", "alpha-1.5", "permutations-0", "workers-0", "seed-negative",
         "fraction-1.5", "repetitions-0", "repetitions-negative", "max-grade-negative",
-        "explicit-mode-without-p", "plot-pairs-given-qrels"])
+        "sample-max-grade-negative", "explicit-mode-without-p", "plot-pairs-given-qrels"])
 def test_bad_input_gives_one_error_line(workspace, tmp_path, args, config, named):
     latin1 = tmp_path / "latin1.qrels"
     latin1.write_bytes(b"q1 0 caf\xe9 1\n")

@@ -175,6 +175,27 @@ def test_cache_is_prompt_specific(stub_server, tmp_path):
     assert state.requests == 2
 
 
+@pytest.mark.parametrize("corrupt", [b'{"grade": 2, "raw_resp', b'{"grade": 2}',
+                                     b"\xff\xfe", b"[2]"],
+                         ids=["invalid-json", "missing-key", "not-utf8", "not-an-object"])
+def test_corrupt_cache_entry_is_a_miss(stub_server, tmp_path, corrupt):
+    url, state = stub_server
+    state.replies["d00"] = "2"
+    cfg = cfg_for(url, cache_dir=tmp_path)
+    label_qrels(make_pairs(1), cfg)
+    [entry] = tmp_path.iterdir()
+    entry.write_bytes(corrupt)
+
+    _, [result] = label_qrels(make_pairs(1), cfg)
+    assert state.requests == 2
+    assert (result.grade, result.cached) == (2, False)
+    assert list(tmp_path.iterdir()) == [entry]  # rewritten in place, no temp file left
+    assert json.loads(entry.read_text(encoding="utf-8"))["raw_response"] == "2"
+
+    _, [again] = label_qrels(make_pairs(1), cfg)
+    assert state.requests == 2 and again.cached
+
+
 def test_rate_limit_spaces_requests(stub_server):
     url, state = stub_server
     pairs = make_pairs(6)
@@ -314,6 +335,7 @@ def test_core_import_does_not_pull_http_stack():
     code = (
         "import sys; import discrimpower; "
         "assert 'discrimpower.labeller' not in sys.modules; "
-        "assert 'requests' not in sys.modules"
+        "assert 'requests' not in sys.modules; "
+        "assert 'numpy' not in sys.modules"
     )
     subprocess.run([sys.executable, "-c", code], check=True)

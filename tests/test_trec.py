@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discrimpower.errors import ParseError, ValidationError
+from discrimpower.errors import ConfigurationError, ParseError, ValidationError
 from discrimpower.minicollection import write_mini_collection
 from discrimpower.trec import (
     CANDIDATE,
@@ -111,11 +111,38 @@ def test_parse_qrels_grade_above_max():
         parse_qrels("q1 0 d1 4\n", max_grade=3)
     q = parse_qrels("q1 0 d1 4\n", max_grade=5)
     assert q.grade("q1", "d1") == 4
+    # checked before any line is read, so no judgment takes the blame
+    with pytest.raises(ConfigurationError, match=r"^max_grade must be >= 0, got -1$"):
+        parse_qrels("q1 0 d1 0\n", max_grade=-1)
 
 
 def test_parse_qrels_column_error_names_line():
     with pytest.raises(ParseError, match="line 3"):
         parse_qrels("q1 0 d1 1\nq1 0 d2 0\nq1 0 d3\n")
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_text_splits_into_lines_as_a_file_does(tmp_path, end):
+    # str.splitlines would also end a line at each of these characters.
+    odd = ["\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    run_text = "".join(f"q1 Q0 d{i}{c} {i} {9 - i} s{end}" for i, c in enumerate(odd))
+    qrels_text = "".join(f"q1 0 d{i}{c} {i % 4}{end}" for i, c in enumerate(odd))
+    run_file, qrels_file = tmp_path / "a.run", tmp_path / "a.qrels"
+    run_file.write_bytes(run_text.encode())
+    qrels_file.write_bytes(qrels_text.encode())
+
+    run = load_run(run_file)
+    assert run.runs["s"]["q1"].doc_ids == tuple(f"d{i}" for i in range(len(odd)))
+    assert parse_run(run_text) == run == parse_run(run_text.encode())
+    qrels = load_qrels(qrels_file)
+    assert len(qrels.judgments) == len(odd)
+    assert parse_qrels(qrels_text) == qrels == parse_qrels(qrels_text.encode())
+
+    bad = run_text + f"q1 Q0 d9 9{end}"
+    run_file.write_bytes(bad.encode())
+    for load in (lambda: parse_run(bad), lambda: load_run(run_file)):
+        with pytest.raises(ParseError, match=f"line {len(odd) + 1}: expected 6 columns, got 4$"):
+            load()
 
 
 def test_qrels_equality_ignores_role():
