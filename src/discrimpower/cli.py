@@ -66,15 +66,18 @@ def _parse_fractions(raw: str) -> list[float]:
 
 def _load_config(path) -> dict[str, str]:
     config: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigurationError(f"{path}: line {line_no}: expected key=value")
-        key, _, value = stripped.partition("=")
-        config[key.strip().replace("-", "_")] = value.strip()
+    # Iterating the file splits at \n, \r\n and \r only, as the TREC
+    # readers do; str.splitlines would also split inside a value at \x85,
+    # \x0c, \u2028 and others.
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            if "=" not in stripped:
+                raise ConfigurationError(f"{path}: line {line_no}: expected key=value")
+            key, _, value = stripped.partition("=")
+            config[key.strip().replace("-", "_")] = value.strip()
     return config
 
 
@@ -121,16 +124,17 @@ def _write_text(path: Path, text: str):
     print(f"wrote {path}")
 
 
-def _load_runset(opts: _Options):
+def _load_runset(opts: _Options, depth: int):
+    # Each command keeps the ranking prefix it scores: k, or --depth.
     runs_dir = opts.get("runs_dir", None)
     run_list = opts.get("run", None, convert=lambda raw: raw.split(","))
     tag_from_filename = opts.get("tag_from_filename", False, _to_bool)
     if runs_dir and run_list:
         raise ConfigurationError("give either --runs-dir or --run, not both")
     if runs_dir:
-        return load_runs_dir(runs_dir, tag_from_filename)
+        return load_runs_dir(runs_dir, tag_from_filename, depth)
     if run_list:
-        return load_runs(run_list, tag_from_filename)
+        return load_runs(run_list, tag_from_filename, depth)
     raise ConfigurationError("no runs given: use --runs-dir or --run")
 
 
@@ -160,8 +164,9 @@ def cmd_compare(args) -> int:
     out_dir = Path(opts.get("out_dir", "."))
     precision = opts.get("precision", "4")
     max_grade = opts.get("max_grade", 3, int)
+    spec = _measure_spec(opts)
 
-    runs = _load_runset(opts)
+    runs = _load_runset(opts, spec.k)
     gt = load_qrels(args.gt, max_grade, GROUND_TRUTH)
     cand = load_qrels(args.cand, max_grade, CANDIDATE)
     from . import reporting
@@ -170,7 +175,7 @@ def cmd_compare(args) -> int:
         runs,
         gt,
         cand,
-        spec=_measure_spec(opts),
+        spec=spec,
         sig_cfg=_sig_config(opts),
         kappa_threshold=opts.get("kappa_threshold", 2, int),
     )
@@ -193,8 +198,9 @@ def cmd_sweep(args) -> int:
     out_dir = Path(opts.get("out_dir", "."))
     precision = opts.get("precision", "4")
     max_grade = opts.get("max_grade", 3, int)
+    spec = _measure_spec(opts)
 
-    runs = _load_runset(opts)
+    runs = _load_runset(opts, spec.k)
     gt = load_qrels(args.gt, max_grade, GROUND_TRUTH)
     sig_cfg = _sig_config(opts)
     from . import reporting
@@ -205,7 +211,7 @@ def cmd_sweep(args) -> int:
         fractions=opts.get("fractions", _parse_fractions(DEFAULT_FRACTIONS), _parse_fractions),
         repetitions=opts.get("repetitions", 10, int),
         master_seed=opts.get("seed", 0, int),
-        spec=_measure_spec(opts),
+        spec=spec,
         sig_cfg=sig_cfg,
         kappa_threshold=opts.get("kappa_threshold", 2, int),
         relevant_threshold=opts.get("relevant_threshold", 1, int),
@@ -258,7 +264,6 @@ def cmd_generate_popularity(args) -> int:
     out_dir = Path(opts.get("out_dir", "."))
     max_grade = opts.get("max_grade", 3, int)
     gt = load_qrels(args.gt, max_grade, GROUND_TRUTH)
-    runs = _load_runset(opts)
     from .synth import EXPLICIT, PER_TOPIC, PopularityConfig, popularity_biased
 
     p_mode = opts.get("p_mode", PER_TOPIC)
@@ -269,7 +274,7 @@ def cmd_generate_popularity(args) -> int:
         explicit_p=explicit_p,
         relevant_threshold=opts.get("relevant_threshold", 1, int),
     )
-    labelled = popularity_biased(gt, runs, cfg)
+    labelled = popularity_biased(gt, _load_runset(opts, cfg.depth), cfg)
     param = f"{explicit_p:g}" if p_mode == EXPLICIT else p_mode
     _write_text(out_dir / f"popularity_{param}_0.qrels", serialize_qrels(labelled))
     return 0
@@ -349,11 +354,12 @@ def cmd_plot(args) -> int:
 def cmd_evaluate(args) -> int:
     opts = _Options(args)
     max_grade = opts.get("max_grade", 3, int)
-    runs = _load_runset(opts)
+    spec = _measure_spec(opts)
+    runs = _load_runset(opts, spec.k)
     qrels = load_qrels(args.qrels, max_grade, GROUND_TRUTH)
     from .measures import score_matrix
 
-    sm = score_matrix(runs, qrels, _measure_spec(opts))
+    sm = score_matrix(runs, qrels, spec)
     out_dir = opts.get("out_dir", None)
     if out_dir is None:
         sys.stdout.write(sm.to_csv())

@@ -198,13 +198,17 @@ def label_pair(
     if cache_file is not None and cache_file.exists():
         try:
             entry = json.loads(cache_file.read_text(encoding="utf-8"))
+            grade = entry["grade"]
+            if type(grade) is not int or not 0 <= grade <= cfg.scale_max:
+                raise ValueError(f"cached grade {grade!r} is not in 0..{cfg.scale_max}")
             return LabelledPair(
-                topic_id, doc_id, entry["grade"], entry["raw_response"], True,
+                topic_id, doc_id, grade, entry["raw_response"], True,
                 entry.get("clamped", False),
             )
         except (ValueError, KeyError, TypeError):
-            # Not UTF-8, not JSON, or not an object with both fields: a
-            # miss, and the write below replaces the entry.
+            # Not UTF-8, not JSON, not an object with both fields, or a
+            # grade that is not an int on the scale: a miss, and the write
+            # below replaces the entry.
             log.warning("ignoring corrupt cache entry %s", cache_file)
 
     if _limiter is not None:

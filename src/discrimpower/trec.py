@@ -7,10 +7,13 @@ dataclasses and are treated as immutable after construction, so they can
 be shared freely between threads and processes.
 
 A :class:`Ranking` keeps its scores as one packed ``array('d')``, eight
-bytes per run line, rather than a Python ``float`` object per line. Run
-files loaded together share one ``str`` per distinct document id. That
-saves memory when ids repeat across systems and topics, and costs one
-dict lookup per run line, plus a pool entry per id, when they do not.
+bytes per run line, rather than a Python ``float`` object per line. The
+``load_runs*`` functions take a ``depth``: every line is still read and
+checked, but each topic keeps only its first ``depth`` documents after
+sorting. Run files loaded together share one ``str`` per distinct kept
+document id. That saves memory when ids repeat across systems and
+topics, and costs one dict lookup per kept document, plus a pool entry
+per id, when they do not.
 The ``load_*`` functions name the file in every error they raise for its
 contents, and the line of the first byte that is not UTF-8.
 """
@@ -123,11 +126,14 @@ def parse_run(source, system_tag_override: str | None = None) -> RunSet:
     :class:`ValidationError` for duplicate documents within a topic or
     for files mixing several system tags without an override.
     """
-    return _parse_run(source, system_tag_override, {})
+    return _parse_run(source, system_tag_override, {}, None)
 
 
-def _parse_run(source, system_tag_override: str | None, ids: dict[str, str]) -> RunSet:
-    # ``ids`` maps each doc id to the one string kept for it across a load.
+def _parse_run(source, system_tag_override: str | None, ids: dict[str, str],
+               depth: int | None) -> RunSet:
+    # ``ids`` maps each kept doc id to the one string kept for it across a
+    # load. Every line is checked; only the first ``depth`` of each sorted
+    # topic are kept.
     tag_seen: str | None = None
     topics: dict[str, dict[str, float]] = {}
     topic_seen: str | None = None
@@ -165,14 +171,14 @@ def _parse_run(source, system_tag_override: str | None, ids: dict[str, str]) -> 
             raise ValidationError(
                 f"duplicate document {doc_id!r} for topic {topic!r} in run {tag!r}"
             )
-        docs[ids.setdefault(doc_id, doc_id)] = score
+        docs[doc_id] = score
     if tag_seen is None:
         return RunSet()
     rankings = {}
     for topic, docs in topics.items():
         # Sorting (score, doc_id) pairs descending breaks ties on doc_id.
-        scores, doc_ids = zip(*sorted(zip(docs.values(), docs.keys()), reverse=True))
-        rankings[topic] = Ranking(doc_ids, scores)
+        scores, doc_ids = zip(*sorted(zip(docs.values(), docs.keys()), reverse=True)[:depth])
+        rankings[topic] = Ranking(map(ids.setdefault, doc_ids, doc_ids), scores)
     return RunSet({tag_seen: rankings})
 
 
@@ -279,34 +285,48 @@ def _naming(path):
         raise error from exc
 
 
-def _load_run(path: Path, override: str | None, ids: dict[str, str]) -> RunSet:
+def _load_run(path: Path, override: str | None, ids: dict[str, str],
+              depth: int | None) -> RunSet:
     with _naming(path), open(path, encoding="utf-8") as fh:
-        return _parse_run(fh, override, ids)
+        return _parse_run(fh, override, ids, depth)
 
 
 def load_run(path, system_tag_override: str | None = None,
              tag_from_filename: bool = False) -> RunSet:
     """Load one run file; errors name the file."""
     path = Path(path)
-    return _load_run(path, path.stem if tag_from_filename else system_tag_override, {})
+    return _load_run(path, path.stem if tag_from_filename else system_tag_override, {}, None)
 
 
-def load_runs(paths, tag_from_filename: bool = False) -> RunSet:
-    """Load an explicit list of run files, one system per file."""
+def _check_depth(depth: int | None) -> None:
+    if depth is not None and depth < 1:
+        raise ConfigurationError(f"depth must be >= 1, got {depth}")
+
+
+def load_runs(paths, tag_from_filename: bool = False, depth: int | None = None) -> RunSet:
+    """Load an explicit list of run files, one system per file.
+
+    With ``depth``, each topic keeps only its first ``depth`` documents
+    after sorting; every line is still read and checked.
+    """
+    _check_depth(depth)
     paths = [Path(p) for p in paths]
     if not paths:
         raise ValidationError("no run files given")
     ids: dict[str, str] = {}
-    return merge_runs(_load_run(p, p.stem if tag_from_filename else None, ids) for p in paths)
+    return merge_runs(_load_run(p, p.stem if tag_from_filename else None, ids, depth)
+                      for p in paths)
 
 
-def load_runs_dir(directory, tag_from_filename: bool = False) -> RunSet:
+def load_runs_dir(directory, tag_from_filename: bool = False,
+                  depth: int | None = None) -> RunSet:
     """Load every regular file in ``directory`` as one run each."""
+    _check_depth(depth)
     directory = Path(directory)
     paths = sorted(p for p in directory.iterdir() if p.is_file())
     if not paths:
         raise ValidationError(f"no run files in {directory}")
-    return load_runs(paths, tag_from_filename=tag_from_filename)
+    return load_runs(paths, tag_from_filename, depth)
 
 
 def load_qrels(path, max_grade: int = 3, role: str = GROUND_TRUTH) -> Qrels:

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import discrimpower
-from discrimpower.cli import main
+from discrimpower import cli
+from discrimpower.cli import _load_config, main
 from discrimpower.minicollection import write_mini_collection
 from discrimpower.trec import load_qrels
 
@@ -147,6 +148,16 @@ def test_bad_config_line_exits_1(workspace, tmp_path, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("char", ["\x85", "\x0c", "\u2028"],
+                         ids=["next-line", "form-feed", "line-separator"])
+def test_config_lines_end_only_at_newlines(tmp_path, char):
+    # \n, \r\n and \r end a line; str.splitlines would also split at char.
+    config = tmp_path / "odd.cfg"
+    config.write_bytes(f"dataset=trec{char}dl\r\nname=a\rprecision=full\n".encode("utf-8"))
+    assert _load_config(config) == {"dataset": f"trec{char}dl", "name": "a",
+                                    "precision": "full"}
+
+
 EVALUATE = ["evaluate", "--runs-dir", "{runs_dir}", "--qrels", "{gt}"]
 COMPARE = ["compare", "--runs-dir", "{runs_dir}", "--gt", "{gt}", "--cand", "{gt}"]
 SWEEP = ["sweep", "--runs-dir", "{runs_dir}", "--gt", "{gt}"]
@@ -160,6 +171,10 @@ SWEEP = ["sweep", "--runs-dir", "{runs_dir}", "--gt", "{gt}"]
     (["evaluate", "--runs-dir", "{runs_dir}", "--qrels", "{latin1}"], None, "latin1.qrels"),
     (SWEEP, b"precision=ful\n", "opts.cfg: invalid value for precision: 'ful'"),
     (EVALUATE + ["--k", "0"], None, "cutoff k must be >= 1, got 0"),
+    (["evaluate", "--runs-dir", "{root}/nowhere", "--qrels", "{gt}", "--k", "0"], None,
+     "cutoff k must be >= 1, got 0"),
+    (["generate", "popularity", "--runs-dir", "{root}/nowhere", "--gt", "{gt}",
+      "--depth", "0"], None, "depth must be >= 1"),
     (COMPARE + ["--alpha", "1.5"], None, "alpha must be in (0, 1), got 1.5"),
     (COMPARE + ["--permutations", "0"], None, "permutation count must be >= 1"),
     (COMPARE + ["--workers", "0"], None, "n_workers must be >= 1"),
@@ -176,7 +191,8 @@ SWEEP = ["sweep", "--runs-dir", "{runs_dir}", "--gt", "{gt}"]
     (["plot", "--pairs", "{gt}"], None, "scatter input is missing columns"),
 ], ids=["config-bad-value", "config-unknown-key", "config-not-utf8",
         "qrels-is-a-directory", "qrels-not-utf8", "config-value-not-a-choice",
-        "k-0", "alpha-1.5", "permutations-0", "workers-0", "seed-negative",
+        "k-0", "k-0-before-missing-runs", "depth-0-before-missing-runs", "alpha-1.5",
+        "permutations-0", "workers-0", "seed-negative",
         "fraction-1.5", "repetitions-0", "repetitions-negative", "max-grade-negative",
         "sample-max-grade-negative", "explicit-mode-without-p", "plot-pairs-given-qrels"])
 def test_bad_input_gives_one_error_line(workspace, tmp_path, args, config, named):
@@ -428,6 +444,31 @@ def test_evaluate_stdout_and_file(workspace, tmp_path, capsys):
     ])
     assert code == 0
     assert (tmp_path / "scores.csv").read_text() == stdout_csv
+
+
+@pytest.mark.parametrize("args, depth", [
+    (["evaluate", "--qrels", "{gt}", "--k", "5"], 5),
+    (["evaluate", "--qrels", "{gt}"], 10),
+    (["compare", "--gt", "{gt}", "--cand", "{gt}", "--k", "3", "--permutations", "100"], 3),
+    (["sweep", "--gt", "{gt}", "--k", "4", "--fractions", "1.0", "--repetitions", "1",
+      "--permutations", "100"], 4),
+    (["generate", "popularity", "--gt", "{gt}", "--depth", "7"], 7),
+    (["generate", "popularity", "--gt", "{gt}"], 100),
+], ids=["evaluate", "evaluate-default", "compare", "sweep", "popularity",
+        "popularity-default"])
+def test_commands_load_runs_to_the_depth_they_score(workspace, tmp_path, monkeypatch,
+                                                    args, depth):
+    depths = []
+
+    def spy(directory, tag_from_filename=False, depth=None):
+        depths.append(depth)
+        return real(directory, tag_from_filename, depth)
+
+    real = cli.load_runs_dir
+    monkeypatch.setattr(cli, "load_runs_dir", spy)
+    args = [arg.format(**workspace) for arg in args]
+    assert main([*args, "--runs-dir", workspace["runs_dir"], "--out-dir", str(tmp_path)]) == 0
+    assert depths == [depth]
 
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"

@@ -175,9 +175,13 @@ def test_cache_is_prompt_specific(stub_server, tmp_path):
     assert state.requests == 2
 
 
-@pytest.mark.parametrize("corrupt", [b'{"grade": 2, "raw_resp', b'{"grade": 2}',
-                                     b"\xff\xfe", b"[2]"],
-                         ids=["invalid-json", "missing-key", "not-utf8", "not-an-object"])
+@pytest.mark.parametrize("corrupt", [
+    b'{"grade": 2, "raw_resp', b'{"grade": 2}', b"\xff\xfe", b"[2]",
+    b'{"grade": "7 of 3", "raw_response": "x"}', b'{"grade": 4, "raw_response": "4"}',
+    b'{"grade": -1, "raw_response": "x"}', b'{"grade": true, "raw_response": "x"}',
+    b'{"grade": 2.0, "raw_response": "x"}',
+], ids=["invalid-json", "missing-key", "not-utf8", "not-an-object", "grade-not-int",
+        "grade-above-scale", "grade-negative", "grade-bool", "grade-float"])
 def test_corrupt_cache_entry_is_a_miss(stub_server, tmp_path, corrupt):
     url, state = stub_server
     state.replies["d00"] = "2"

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import pathlib
 import pickle
+import tempfile
 import threading
 import tracemalloc
 from array import array
@@ -298,6 +299,75 @@ def test_loaded_runs_keep_under_24_bytes_per_line(tmp_path):
     assert retained / lines < 24, retained / lines
 
 
+def test_depth_limited_load_retains_under_3_bytes_per_line_read(tmp_path):
+    # Only the first 10 of each topic's 500 documents are kept; every line is read.
+    qrels_path, _ = write_mini_collection(tmp_path, n_systems=8, n_topics=5, n_docs=600,
+                                          run_depth=500)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        runset = load_runs_dir(qrels_path.parent / "runs", depth=10)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    kept = sum(len(r.doc_ids) for per_topic in runset.runs.values() for r in per_topic.values())
+    assert kept == 8 * 5 * 10
+    assert retained / (8 * 5 * 500) < 3, retained / (8 * 5 * 500)
+
+
+def _prefix(runset, depth):
+    return RunSet({tag: {topic: Ranking(r.doc_ids[:depth], r.scores[:depth])
+                         for topic, r in per_topic.items()}
+                   for tag, per_topic in runset.runs.items()})
+
+
+def test_depth_limited_load_keeps_one_string_per_kept_id(tmp_path):
+    qrels_path, run_paths = write_mini_collection(tmp_path, n_systems=4, n_topics=3,
+                                                  n_docs=40, run_depth=30)
+    full = load_runs(run_paths)
+    for runset in (load_runs_dir(qrels_path.parent / "runs", depth=5),
+                   load_runs(run_paths, depth=5)):
+        assert runset == _prefix(full, 5)
+        docs = _doc_id_objects(runset)
+        assert len(docs) == 4 * 3 * 5
+        assert len({id(doc) for doc in docs}) == len(set(docs))
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_depth_below_one_is_a_configuration_error(tmp_path, depth):
+    (tmp_path / "a.run").write_text(RUN_TEXT)
+    message = f"^depth must be >= 1, got {depth}$"
+    with pytest.raises(ConfigurationError, match=message):
+        load_runs([tmp_path / "a.run"], depth=depth)
+    with pytest.raises(ConfigurationError, match=message):
+        load_runs_dir(tmp_path, depth=depth)
+    with pytest.raises(ConfigurationError, match=message):  # options before inputs
+        load_runs_dir(tmp_path / "nowhere", depth=depth)
+
+
+# Each topic's first line is the one a depth-1 load keeps; the fault comes later.
+_TOP = "q1 Q0 d1 1 9.0 s\nq1 Q0 d2 2 8.0 s\nq2 Q0 d5 1 1.0 s\n"
+
+
+@pytest.mark.parametrize("text, kind, message", [
+    (_TOP + "q1 Q0 d2 3 0.5 s\n", ValidationError,
+     "duplicate document 'd2' for topic 'q1' in run 's'"),
+    (_TOP + "q1 Q0 d3 x 0.5 s\n", ParseError, "line 4: rank is not an integer: 'x'"),
+    (_TOP + "q1 Q0 d3 3 nan s\n", ParseError, "line 4: score is not a number: 'nan'"),
+    (_TOP + "q1 Q0 d3 3 0.5 t\n", ValidationError,
+     "run file mixes system tags 's' and 't'; "
+     "pass a system tag override to read it as a single system"),
+    (_TOP + "q1 Q0 d3 3 0.5\n", ParseError, "line 4: expected 6 columns, got 5"),
+], ids=["duplicate-doc", "rank", "score-nan", "mixed-tags", "columns"])
+def test_depth_limited_load_checks_every_line(tmp_path, text, kind, message):
+    path = tmp_path / "a.run"
+    path.write_text(text)
+    for depth in (None, 1):
+        with pytest.raises(kind) as info:
+            load_runs([path], depth=depth)
+        assert str(info.value) == f"{path}: {message}"
+
+
 @pytest.mark.parametrize("name, content, kind, message", [
     ("bad.run", "q1 Q0 d1 1 1.0 s\nq1 Q0 d2 x 0.5 s\n", ParseError,
      "line 2: rank is not an integer: 'x'"),
@@ -486,3 +556,25 @@ def test_parse_serialize_round_trip(text):
     again = parse_run(out)
     assert serialize_run(again) == out
     assert again == rs
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(texts=st.lists(_run_texts(), min_size=1, max_size=3), depth=st.integers(1, 10))
+def test_depth_limited_load_is_the_full_load_prefix(texts, depth):
+    # Up to 8 documents per topic, so depths 9 and 10 run past every end.
+    with tempfile.TemporaryDirectory() as td:
+        paths = []
+        for i, text in enumerate(texts):
+            paths.append(pathlib.Path(td) / f"s{i}.run")
+            paths[-1].write_text(text)
+        try:
+            full = load_runs(paths, tag_from_filename=True)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as info:
+                load_runs(paths, tag_from_filename=True, depth=depth)
+            assert str(info.value) == str(exc)
+            return
+        limited = load_runs(paths, tag_from_filename=True, depth=depth)
+    assert limited == _prefix(full, depth)
+    first: dict[str, str] = {}
+    assert all(first.setdefault(doc, doc) is doc for doc in _doc_id_objects(limited))
