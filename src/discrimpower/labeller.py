@@ -149,7 +149,7 @@ def _cache_path(cfg: LabellerConfig, prompt: str) -> Optional[Path]:
 
 
 def _post_completion(cfg: LabellerConfig, prompt: str) -> str:
-    """POST the prompt; return the reply text. Retries transient failures."""
+    """POST the prompt; return the reply text. Retries 5xx, 429 and connection errors."""
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(cfg.api_key_env)
     if api_key:
@@ -162,13 +162,19 @@ def _post_completion(cfg: LabellerConfig, prompt: str) -> str:
     last_error: Exception | None = None
     for attempt in range(cfg.max_retries):
         if attempt > 0:
-            time.sleep(min(2 ** (attempt - 1), 8))
+            time.sleep(min(wait, 8))
+        wait = 2 ** attempt  # before the next attempt, unless a 429 names the seconds
         try:
             resp = requests.post(
                 cfg.endpoint, json=body, headers=headers, timeout=cfg.timeout
             )
         except requests.RequestException as exc:
             last_error = exc
+            continue
+        if resp.status_code == 429:  # an HTTP-date Retry-After keeps the back-off
+            value = resp.headers.get("Retry-After", "").strip()
+            wait = int(value) if value.isascii() and value.isdigit() else wait
+            last_error = TransportError("rate limited: 429")
             continue
         if resp.status_code >= 500:
             last_error = TransportError(f"server error {resp.status_code}")

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .trec import Qrels, RunSet
+from .trec import Qrels, RunSet, _csv_table
 
 LINEAR = "linear"
 EXPONENTIAL = "exponential"
@@ -99,18 +99,21 @@ class ScoreMatrix:
             raise ValidationError("system tags are not unique")
         if len(set(self.topic_ids)) != n:
             raise ValidationError("topic ids are not unique")
-        if n and ((self.values < 0.0) | (self.values > 1.0)).any():
+        if not ((self.values >= 0.0) & (self.values <= 1.0)).all():  # NaN fails both
             raise ValidationError("matrix values must lie in [0, 1]")
+
+    def __eq__(self, other):  # the generated one compares ``values`` as an array
+        return (isinstance(other, ScoreMatrix) and self.system_tags == other.system_tags
+                and self.topic_ids == other.topic_ids
+                and np.array_equal(self.values, other.values))
 
     def row(self, system_tag: str) -> np.ndarray:
         return self.values[self.system_tags.index(system_tag)]
 
     def to_csv(self) -> str:
         """CSV with topic ids as header and one row per system, 6 dp."""
-        lines = ["system," + ",".join(self.topic_ids)]
-        for tag, row in zip(self.system_tags, self.values):
-            lines.append(tag + "," + ",".join(f"{v:.6f}" for v in row))
-        return "\n".join(lines) + "\n"
+        columns = [("system", str), *((topic, "{:.6f}".format) for topic in self.topic_ids)]
+        return _csv_table(columns, ((tag, *v) for tag, v in zip(self.system_tags, self.values)))
 
 
 def sequential_row_means(values: np.ndarray) -> np.ndarray:

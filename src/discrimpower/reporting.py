@@ -15,7 +15,8 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Optional
+from itertools import chain
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,27 +25,50 @@ from .measures import MeasureSpec, ScoreMatrix, mean_scores, score_matrix
 from .metrics import DiscrimReport, full_report
 from .significance import SignificanceSet, SigTestConfig, tukey_hsd_pvalues
 from .synth import SamplingConfig, percentage_sample
-from .trec import Qrels, RunSet
-
-UNDEFINED = "undefined"
-
-REPORT_COLUMNS = (
-    "dataset", "qrels", "kappa", "tau", "delta_sens",
-    "p1", "r1", "p2", "r2", "bac", "mcc",
-    "fp", "fn", "tp", "tn",
-    "sens_gt", "sens_cand", "s_gt", "ns_gt", "total_pairs", "flags",
-)
-
-PAIR_COLUMNS = (
-    "system_a", "system_b",
-    "mean_gt_a", "mean_gt_b", "mean_cand_a", "mean_cand_b",
-    "p_gt", "p_cand", "sig_gt", "sig_cand", "error_class",
-)
+from .trec import Qrels, RunSet, _csv_table, _true_false
 
 SWEEP_METRICS = ("kappa", "tau", "delta_sens", "p1", "r1", "p2", "r2", "bac", "mcc")
+_COUNTS = (("fp", str), ("fn", str), ("tp", str), ("tn", str))
 
-SWEEP_COLUMNS = ("fraction", "repetition") + SWEEP_METRICS + (
-    "fp", "fn", "tp", "tn", "flags",
+
+def _rate(precision: str) -> Callable[[Optional[float]], str]:
+    """Cells of a metric: "undefined" for None, else 4 decimals or, at "full", ``repr``."""
+    number = repr if precision == "full" else "{:.4f}".format
+    return lambda value: "undefined" if value is None else number(value)
+
+
+def _fraction(value) -> str:
+    return repr(float(value))
+
+
+def _report_columns(precision: str) -> tuple:
+    rate = _rate(precision)
+    return (
+        ("dataset", str), ("qrels", str), *((metric, rate) for metric in SWEEP_METRICS),
+        *_COUNTS, ("sens_gt", rate), ("sens_cand", rate),
+        ("s_gt", str), ("ns_gt", str), ("total_pairs", str), ("flags", str),
+    )
+
+
+def _pair_columns(precision: str) -> tuple:
+    mean = repr if precision == "full" else "{:.6f}".format
+    return (
+        ("system_a", str), ("system_b", str),
+        ("mean_gt_a", mean), ("mean_gt_b", mean), ("mean_cand_a", mean), ("mean_cand_b", mean),
+        ("p_gt", repr), ("p_cand", repr),  # exact at every precision
+        ("sig_gt", _true_false), ("sig_cand", _true_false), ("error_class", str),
+    )
+
+
+def _sweep_columns(precision: str) -> tuple:
+    rate = _rate(precision)
+    return (("fraction", _fraction), ("repetition", str),
+            *((metric, rate) for metric in SWEEP_METRICS), *_COUNTS, ("flags", str))
+
+
+REPORT_COLUMNS, PAIR_COLUMNS, SWEEP_COLUMNS = (
+    tuple(name for name, _ in columns("4"))
+    for columns in (_report_columns, _pair_columns, _sweep_columns)
 )
 
 
@@ -130,38 +154,14 @@ def pair_rows(cmp: Comparison) -> list[dict]:
     return rows
 
 
-def format_value(value, precision: str = "4") -> str:
-    """Render one cell: None shows as a distinguished undefined marker."""
-    if value is None:
-        return UNDEFINED
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value) if precision == "full" else f"{value:.4f}"
-    return str(value)
-
-
 def report_row(report: DiscrimReport, dataset: str, qrels_name: str) -> dict:
     """Flatten a report into the column layout used by every export."""
     c = report.counts
     return {
         "dataset": dataset,
         "qrels": qrels_name,
-        "kappa": report.kappa,
-        "tau": report.tau,
-        "delta_sens": report.delta_sens,
-        "p1": report.p1,
-        "r1": report.r1,
-        "p2": report.p2,
-        "r2": report.r2,
-        "bac": report.bac,
-        "mcc": report.mcc,
-        "fp": c.fp,
-        "fn": c.fn,
-        "tp": c.tp,
-        "tn": c.tn,
+        **{metric: getattr(report, metric) for metric in SWEEP_METRICS},
+        **{count: getattr(c, count) for count in ("fp", "fn", "tp", "tn")},
         "sens_gt": report.sens_gt,
         "sens_cand": report.sens_cand,
         "s_gt": c.significant_gt,
@@ -172,10 +172,7 @@ def report_row(report: DiscrimReport, dataset: str, qrels_name: str) -> dict:
 
 
 def report_to_csv(rows: list[dict], precision: str = "4") -> str:
-    lines = [",".join(REPORT_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(format_value(row[c], precision) for c in REPORT_COLUMNS))
-    return "\n".join(lines) + "\n"
+    return _csv_table(_report_columns(precision), rows)
 
 
 def report_to_json(rows: list[dict]) -> str:
@@ -184,17 +181,7 @@ def report_to_json(rows: list[dict]) -> str:
 
 
 def pairs_to_csv(rows: list[dict], precision: str = "4") -> str:
-    def cell(col: str, value) -> str:
-        if col.startswith("mean_"):
-            return repr(value) if precision == "full" else f"{value:.6f}"
-        if col.startswith("p_"):
-            return repr(value)
-        return format_value(value, precision)
-
-    lines = [",".join(PAIR_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(cell(c, row[c]) for c in PAIR_COLUMNS))
-    return "\n".join(lines) + "\n"
+    return _csv_table(_pair_columns(precision), rows)
 
 
 @dataclass
@@ -280,11 +267,9 @@ def run_sweep(
                 gt_ss, cand_ss, gt_qrels, cand, means_gt, mean_scores(cand_matrix),
                 kappa_threshold=kappa_threshold,
             )
-            row = {"fraction": fraction, "repetition": rep}
             full = report_row(report, dataset="", qrels_name="")
-            for col in SWEEP_METRICS + ("fp", "fn", "tp", "tn", "flags"):
-                row[col] = full[col]
-            rows.append(row)
+            rows.append({"fraction": fraction, "repetition": rep,
+                         **{col: full[col] for col in SWEEP_COLUMNS[2:]}})
 
     return SweepResult(
         fractions=list(fractions),
@@ -295,30 +280,15 @@ def run_sweep(
 
 
 def sweep_to_csv(sr: SweepResult, precision: str = "4") -> str:
-    def cell(col: str, value) -> str:
-        if col == "fraction":
-            return repr(float(value))
-        return format_value(value, precision)
-
-    lines = [",".join(SWEEP_COLUMNS)]
-    for row in sr.rows:
-        lines.append(",".join(cell(c, row[c]) for c in SWEEP_COLUMNS))
-    return "\n".join(lines) + "\n"
+    return _csv_table(_sweep_columns(precision), sr.rows)
 
 
 def sweep_summary_to_csv(sr: SweepResult, precision: str = "4") -> str:
-    cols = ["fraction"]
-    for metric in SWEEP_METRICS:
-        cols += [f"{metric}_mean", f"{metric}_var", f"{metric}_n"]
-    lines = [",".join(cols)]
-    for fraction in sr.fractions:
-        cells = [repr(float(fraction))]
-        for metric in SWEEP_METRICS:
-            mean, var, n = sr.summary[fraction][metric]
-            cells += [
-                format_value(mean, precision),
-                format_value(var, precision),
-                str(n),
-            ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    rate = _rate(precision)
+    columns = [("fraction", _fraction), *chain.from_iterable(
+        ((f"{m}_mean", rate), (f"{m}_var", rate), (f"{m}_n", str)) for m in SWEEP_METRICS
+    )]
+    return _csv_table(columns, (
+        [fraction, *chain.from_iterable(sr.summary[fraction][m] for m in SWEEP_METRICS)]
+        for fraction in sr.fractions
+    ))

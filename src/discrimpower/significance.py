@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .measures import ScoreMatrix, sequential_row_means
+from .trec import _csv_table, _true_false
 
 SAMPLED = "sampled"
 EXHAUSTIVE = "exhaustive"
@@ -226,9 +227,7 @@ def significance_partition(ss: SignificanceSet) -> tuple[set, set]:
 
 
 def significance_to_csv(ss: SignificanceSet) -> str:
-    lines = ["system_a,system_b,p_value,significant"]
-    for a, b in ss.pairs:
-        p = ss.p_values[(a, b)]
-        sig = "true" if ss.significant[(a, b)] else "false"
-        lines.append(f"{a},{b},{p!r},{sig}")
-    return "\n".join(lines) + "\n"
+    columns = (("system_a", str), ("system_b", str), ("p_value", repr),
+               ("significant", _true_false))
+    return _csv_table(columns, ((a, b, ss.p_values[(a, b)], ss.significant[(a, b)])
+                                for a, b in ss.pairs))

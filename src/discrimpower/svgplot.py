@@ -21,7 +21,7 @@ WIDTH, HEIGHT = 800, 600
 MARGIN_LEFT, MARGIN_RIGHT = 70, 170  # right margin hosts the legend
 MARGIN_TOP, MARGIN_BOTTOM = 30, 60
 
-SWEEP_METRICS = ("p1", "r1", "p2", "r2", "bac", "mcc")
+PLOTTED_METRICS = ("p1", "r1", "p2", "r2", "bac", "mcc")
 METRIC_LABELS = {
     "p1": "sig. precision", "r1": "sig. recall",
     "p2": "non-sig. precision", "r2": "non-sig. recall",
@@ -34,7 +34,7 @@ SCATTER_COLUMNS = (
     "mean_gt_a", "mean_gt_b", "mean_cand_a", "mean_cand_b",
     "error_class",
 )
-SWEEP_COLUMNS = ("fraction",) + SWEEP_METRICS
+SWEEP_COLUMNS = ("fraction",) + PLOTTED_METRICS
 
 
 def _require_columns(rows: Sequence[dict], needed: Sequence[str], what: str):
@@ -188,8 +188,8 @@ def render_scatter(rows: Sequence[dict]) -> str:
 def _aggregate(rows: Sequence[dict]) -> tuple[list[float], dict[str, dict[float, tuple[float, float]]]]:
     """Per-fraction (mean, variance) of each metric, undefined skipped."""
     fractions = sorted({_num(r["fraction"]) for r in rows})
-    stats: dict[str, dict[float, tuple[float, float]]] = {m: {} for m in SWEEP_METRICS}
-    for metric in SWEEP_METRICS:
+    stats: dict[str, dict[float, tuple[float, float]]] = {m: {} for m in PLOTTED_METRICS}
+    for metric in PLOTTED_METRICS:
         for fraction in fractions:
             values = [
                 _num(r[metric]) for r in rows
@@ -229,7 +229,7 @@ def render_sweep(rows: Sequence[dict]) -> str:
             f'<line x1="{cv.px0}" y1="{zero}" x2="{cv.px1}" y2="{zero}" '
             f'stroke="#ccc" stroke-width="1"/>'
         )
-    for mi, metric in enumerate(SWEEP_METRICS):
+    for mi, metric in enumerate(PLOTTED_METRICS):
         per = stats[metric]
         if not per:
             continue
@@ -254,7 +254,7 @@ def render_sweep(rows: Sequence[dict]) -> str:
             f'stroke="{color}" stroke-width="2"/>'
         )
     lx = WIDTH - MARGIN_RIGHT + 15
-    for mi, metric in enumerate(SWEEP_METRICS):
+    for mi, metric in enumerate(PLOTTED_METRICS):
         y = MARGIN_TOP + 15 + mi * 20
         parts.append(
             f'<line x1="{lx}" y1="{y}" x2="{lx + 24}" y2="{y}" '

@@ -17,6 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 
@@ -78,19 +79,13 @@ def percentage_sample(gt: Qrels, cfg: SamplingConfig, repetition_index: int = 0)
         picked = rng.choice(len(relevant), size=k, replace=False)
         return {relevant[i] for i in picked}
 
-    if cfg.stratified:
-        kept = set()
-        for topic in gt.topics():
-            relevant = sorted(
-                key for key in gt.judgments
-                if key[0] == topic and gt.judgments[key] >= cfg.relevant_threshold
-            )
-            kept |= sample_keys(relevant)
+    relevant = sorted(
+        key for key, grade in gt.judgments.items() if grade >= cfg.relevant_threshold
+    )
+    if cfg.stratified:  # the sorted keys hold one run per topic, in topic order
+        topics = groupby(relevant, key=lambda key: key[0])
+        kept = set().union(*(sample_keys(list(keys)) for _, keys in topics))
     else:
-        relevant = sorted(
-            key for key, grade in gt.judgments.items()
-            if grade >= cfg.relevant_threshold
-        )
         kept = sample_keys(relevant)
 
     for key, grade in gt.judgments.items():

@@ -27,7 +27,7 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ConfigurationError, DiscrimPowerError, ParseError, ValidationError
 
@@ -244,6 +244,31 @@ def serialize_run(runset: RunSet) -> str:
             for i, (doc_id, score) in enumerate(zip(ranking.doc_ids, ranking.scores)):
                 lines.append(f"{topic} Q0 {doc_id} {i + 1} {score!r} {tag}\n")
     return "".join(lines)
+
+
+def _true_false(value) -> str:
+    return "true" if value else "false"
+
+
+def _csv_table(columns: Sequence[tuple[str, Callable]], rows: Iterable) -> str:
+    """Comma-separated text: the column names, then one unquoted line per row.
+
+    ``columns`` pairs each column name with the function that writes its
+    cells. A row is a dict with exactly those keys or a sequence of one
+    value per column, so no value is written without a declared format.
+    """
+    names = [name for name, _ in columns]
+    declared = set(names)
+    lines = [",".join(names)]
+    for row in rows:
+        if isinstance(row, dict):
+            if row.keys() != declared:
+                raise ValidationError(f"row and columns differ in {sorted(row.keys() ^ declared)}")
+            row = [row[name] for name in names]
+        elif len(row) != len(names):
+            raise ValidationError(f"row has {len(row)} values for {len(names)} columns")
+        lines.append(",".join(write(value) for (_, write), value in zip(columns, row)))
+    return "\n".join(lines) + "\n"
 
 
 def merge_runs(fragments: Iterable[RunSet]) -> RunSet:

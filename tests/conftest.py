@@ -27,6 +27,8 @@ class _StubState:
         self.replies = {}
         self.default_reply = "0"
         self.fail_status = 500
+        # (status, headers) answered, in order, before any reply above
+        self.refusals = []
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -41,6 +43,14 @@ class _StubHandler(BaseHTTPRequestHandler):
             state.timestamps.append(time.monotonic())
             state.bodies.append(body)
             state.auth.append(self.headers.get("Authorization"))
+            refusal = state.refusals.pop(0) if state.refusals else None
+        if refusal is not None:
+            status, headers = refusal
+            self.send_response(status)
+            for name, value in headers.items():
+                self.send_header(name, value)
+            self.end_headers()
+            return
         prompt = body["messages"][0]["content"]
         match = re.search(r"DOC:(\S+)", prompt)
         doc_id = match.group(1) if match else None

@@ -245,6 +245,34 @@ def test_four_xx_fails_fast(stub_server):
     assert state.requests == 1  # client error: retrying cannot help
 
 
+def test_rate_limited_request_is_retried(stub_server):
+    url, state = stub_server
+    state.refusals.append((429, {"Retry-After": "0"}))
+    state.replies["d00"] = "2"
+    qrels, _ = label_qrels(make_pairs(1), cfg_for(url, max_retries=2))
+    assert qrels.judgments == {("q0", "d00"): 2}
+    assert state.requests == 2
+
+
+@pytest.mark.parametrize("headers, wait", [
+    ({"Retry-After": "0"}, 0),
+    ({"Retry-After": "3"}, 3),
+    ({"Retry-After": "120"}, 8),
+    ({}, 1),
+    ({"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, 1),
+    ({"Retry-After": "-1"}, 1),
+], ids=["zero", "seconds", "capped", "missing", "http-date", "negative"])
+def test_retry_after_sets_the_wait(stub_server, monkeypatch, headers, wait):
+    url, state = stub_server
+    waits = []
+    monkeypatch.setattr("discrimpower.labeller.time.sleep", waits.append)
+    state.refusals += [(429, headers), (429, headers)]
+    with pytest.raises(TransportError, match="429"):
+        label_pair("q", "text DOC:d00", cfg_for(url, max_retries=2))
+    assert waits == [wait]
+    assert state.requests == 2
+
+
 def test_unparseable_reply_is_a_failure(stub_server):
     url, state = stub_server
     state.replies["d00"] = "definitely relevant, five stars"

@@ -149,3 +149,23 @@ def test_score_matrix_validation():
         ScoreMatrix(
             system_tags=("A",), topic_ids=("q1",), values=np.array([[1.5]])
         )
+
+
+def test_score_matrix_rejects_nan():
+    values = np.full((3, 3), 0.5)
+    values[1, 2] = np.nan
+    with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
+        ScoreMatrix(system_tags=("A", "B", "C"), topic_ids=("q1", "q2", "q3"), values=values)
+
+
+def test_score_matrix_equality_compares_values(mini):
+    runs, qrels = mini
+    a, b = score_matrix(runs, qrels), score_matrix(runs, qrels)
+    assert a == b
+    assert not a != b
+    changed = ScoreMatrix(a.system_tags, a.topic_ids, a.values.copy())
+    changed.values[0, 0] = 1.0 - changed.values[0, 0] / 2
+    assert a != changed
+    assert not a == changed
+    assert a != ScoreMatrix(a.system_tags[::-1], a.topic_ids, a.values)
+    assert a != (a.system_tags, a.topic_ids, a.values)

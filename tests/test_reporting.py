@@ -11,7 +11,6 @@ from discrimpower.reporting import (
     SWEEP_COLUMNS,
     SWEEP_METRICS,
     compare_qrels,
-    format_value,
     pair_rows,
     pairs_to_csv,
     report_row,
@@ -173,14 +172,41 @@ def test_sweep_validation(mini):
         run_sweep(runs, qrels, fractions=[0.5], n_workers=0)
 
 
-def test_format_value():
-    assert format_value(None) == "undefined"
-    assert format_value(True) == "true"
-    assert format_value(False) == "false"
-    assert format_value(7) == "7"
-    assert format_value(0.123456) == "0.1235"
-    assert format_value(0.1, "full") == "0.1"
-    assert float(format_value(1 / 3, "full")) == 1 / 3
+def test_cell_formats(identity_cmp):
+    row = report_row(identity_cmp.report, "d", "q")
+    row.update(p1=None, kappa=0.123456, tau=1 / 3, fp=7)
+
+    def cells(text):
+        return dict(zip(REPORT_COLUMNS, text.splitlines()[1].split(",")))
+
+    short, full = cells(report_to_csv([row])), cells(report_to_csv([row], "full"))
+    assert short["p1"] == full["p1"] == "undefined"
+    assert short["fp"] == full["fp"] == "7"
+    assert short["kappa"] == "0.1235"
+    assert full["kappa"] == "0.123456"
+    assert float(full["tau"]) == 1 / 3
+    pair = dict(pair_rows(identity_cmp)[0], sig_gt=True, sig_cand=False)
+    pair_cells = dict(zip(PAIR_COLUMNS, pairs_to_csv([pair]).splitlines()[1].split(",")))
+    assert (pair_cells["sig_gt"], pair_cells["sig_cand"]) == ("true", "false")
+
+
+@pytest.mark.parametrize("writer", ["report", "pairs", "sweep"])
+def test_row_column_without_a_declared_format_raises(identity_cmp, writer):
+    report = report_row(identity_cmp.report, "d", "q")
+    sweep_row = {"fraction": 0.5, "repetition": 0, **{c: report[c] for c in SWEEP_COLUMNS[2:]}}
+    write, row = {
+        "report": (report_to_csv, report),
+        "pairs": (pairs_to_csv, pair_rows(identity_cmp)[0]),
+        "sweep": (lambda rows: sweep_to_csv(reporting.SweepResult([0.5], 1, rows, {})),
+                  sweep_row),
+    }[writer]
+    assert len(write([row]).splitlines()) == 2
+    with pytest.raises(ValidationError, match=r"differ in \['se_gt'\]"):
+        write([dict(row, se_gt=0.01)])
+    first = next(iter(row))
+    del row[first]
+    with pytest.raises(ValidationError, match=rf"differ in \['{first}'\]"):
+        write([row])
 
 
 def test_report_row_covers_all_columns(identity_cmp):

@@ -87,6 +87,45 @@ def test_repetition_index_bounds():
         percentage_sample(gt, SamplingConfig(fraction=0.5, repetitions=3), 3)
 
 
+def stratified_reference(gt, cfg, repetition_index):
+    """Stratified sampling by a scan of every judgment per topic, in topic order."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(cfg.master_seed, spawn_key=(repetition_index,))
+    )
+    kept = set()
+    for topic in gt.topics():
+        relevant = sorted(
+            key for key in gt.judgments
+            if key[0] == topic and gt.judgments[key] >= cfg.relevant_threshold
+        )
+        k = math.floor(cfg.fraction * len(relevant) + 0.5)
+        if k >= len(relevant):
+            kept |= set(relevant)
+        else:
+            kept |= {relevant[i] for i in rng.choice(len(relevant), size=k, replace=False)}
+    return {
+        key: 0 if grade >= cfg.relevant_threshold and key not in kept else grade
+        for key, grade in gt.judgments.items()
+    }
+
+
+def test_stratified_sample_equals_per_topic_scan():
+    rng = np.random.default_rng(11)
+    for trial in range(6):
+        gt = random_qrels(rng, n_topics=7, docs_per_topic=9)
+        items = list(gt.judgments.items())
+        rng.shuffle(items)  # insertion order unlike topic order
+        judgments = dict(items)
+        judgments.update({("q9", f"d{d}"): 0 for d in range(3)})  # nothing relevant
+        gt = Qrels(judgments=judgments)
+        for fraction in (0.1, 0.35, 0.5, 0.8):
+            cfg = SamplingConfig(fraction=fraction, repetitions=3, master_seed=trial,
+                                 relevant_threshold=1 + trial % 3, stratified=True)
+            for rep in range(3):
+                got = percentage_sample(gt, cfg, rep).judgments
+                assert got == stratified_reference(gt, cfg, rep)
+
+
 def test_stratified_mode_rounds_per_topic():
     judgments = {}
     # topic qa: 4 relevant, topic qb: 5 relevant

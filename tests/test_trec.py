@@ -29,6 +29,7 @@ from discrimpower.trec import (
     save_qrels,
     serialize_qrels,
     serialize_run,
+    _csv_table,
     write_atomic,
 )
 
@@ -163,6 +164,25 @@ def test_serialize_run_round_trips_exact_scores():
     rs = parse_run("q1 Q0 d1 1 0.1234567890123456789 s\nq1 Q0 d2 2 -3.5e-7 s\n")
     again = parse_run(serialize_run(rs))
     assert again == rs
+
+
+def test_csv_table_writes_each_column_with_its_format():
+    columns = (("name", str), ("score", "{:.2f}".format), ("ok", repr))
+    text = "name,score,ok\na,0.50,True\nb,1.00,None\n"
+    assert _csv_table(columns, [("a", 0.5, True), {"ok": None, "score": 1, "name": "b"}]) == text
+    assert _csv_table(columns, []) == "name,score,ok\n"
+
+
+@pytest.mark.parametrize("row, message", [
+    (("a", 0.5, True, "extra"), "row has 4 values for 3 columns"),
+    (("a", 0.5), "row has 2 values for 3 columns"),
+    ({"name": "a", "score": 0.5, "ok": True, "note": "x"}, r"differ in \['note'\]"),
+    ({"name": "a", "ok": True}, r"differ in \['score'\]"),
+])
+def test_csv_table_rejects_a_value_without_a_column(row, message):
+    columns = (("name", str), ("score", "{:.2f}".format), ("ok", repr))
+    with pytest.raises(ValidationError, match=message):
+        _csv_table(columns, [row])
 
 
 def test_random_round_trips():
