@@ -247,12 +247,24 @@ def full_report(
     Undefined rates stay None and are additionally named in ``flags`` so
     a flat CSV row can still signal them.
     """
+    return _report(gt_ss, cand_ss, means_gt, means_cand,
+                   _kappa_with_flag(gt_qrels, cand_qrels, kappa_threshold))
+
+
+def _report(
+    gt_ss: SignificanceSet,
+    cand_ss: SignificanceSet,
+    means_gt: Mapping[str, float],
+    means_cand: Mapping[str, float],
+    kappa_with_flag: tuple[float, bool],
+) -> DiscrimReport:
+    """``full_report`` with kappa and its degenerate flag already computed."""
     counts = confusion(gt_ss, cand_ss)
     p1, r1 = sig_precision_recall(counts)
     p2, r2 = nonsig_precision_recall(counts)
     bac = balanced_accuracy(counts)
     mcc_value, mcc_degenerate = mcc(counts)
-    kappa, kappa_degenerate = _kappa_with_flag(gt_qrels, cand_qrels, kappa_threshold)
+    kappa, kappa_degenerate = kappa_with_flag
     tau = kendall_tau(means_gt, means_cand)
 
     flags = []

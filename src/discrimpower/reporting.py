@@ -1,10 +1,11 @@
 """End-to-end comparison pipelines and flat CSV/JSON report rows.
 
 The pipeline here ties the pieces together: score both qrel sets over
-the same runs, run the significance test twice, and assemble agreement
-metrics into one report row per candidate. Sweeps repeat that for a grid
-of sampling fractions and repetitions, one cell after another; the only
-parallelism is the significance test's own split of its iterations.
+the same runs, test both matrices in one batched significance test, and
+assemble agreement metrics into one report row per candidate. Sweeps
+score every cell of a grid of sampling fractions and repetitions, then
+test the truth and every cell in one batch; the only parallelism is the
+significance test's own split of its iterations.
 
 All exports are plain deterministic text so that identical inputs and
 seeds give byte-identical files.
@@ -22,8 +23,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ValidationError
 from .measures import MeasureSpec, ScoreMatrix, mean_scores, score_matrix
-from .metrics import DiscrimReport, full_report
-from .significance import SignificanceSet, SigTestConfig, tukey_hsd_pvalues
+from .metrics import DiscrimReport, _kappa_with_flag, _report, full_report
+from .significance import SignificanceSet, SigTestConfig, _tukey_many
 from .synth import SamplingConfig, percentage_sample
 from .trec import Qrels, RunSet, _csv_table, _true_false
 
@@ -107,8 +108,7 @@ def compare_qrels(
             "topic sets differ between qrels: "
             f"only in ground truth {only_gt[:5]}, only in candidate {only_cand[:5]}"
         )
-    gt_ss = tukey_hsd_pvalues(gt_matrix, sig_cfg)
-    cand_ss = tukey_hsd_pvalues(cand_matrix, sig_cfg)
+    gt_ss, cand_ss = _tukey_many([gt_matrix, cand_matrix], sig_cfg)
     means_gt = mean_scores(gt_matrix)
     means_cand = mean_scores(cand_matrix)
     report = full_report(
@@ -236,21 +236,20 @@ def run_sweep(
 ) -> SweepResult:
     """Compare a percentage sample against the truth for every cell.
 
-    The ground-truth side (score matrix, significance set) is computed
-    once and shared. Cells run in (fraction, repetition) order.
-    ``n_workers`` replaces ``sig_cfg.n_workers`` for every significance
-    test of the sweep, the ground-truth one included; the test splits its
-    iterations across workers on 1024-iteration blocks, so the worker
-    count changes only wall time, never results.
+    Every cell is sampled and scored first, in (fraction, repetition)
+    order; a cell keeps only its score matrix and its kappa. Then one
+    batched significance test covers the ground truth and every cell, and
+    the rows are built in the same order. ``n_workers`` replaces
+    ``sig_cfg.n_workers`` for that test; it splits its iterations across
+    workers on 1024-iteration blocks, so the worker count changes only
+    wall time, never results.
     """
     if not fractions:
         raise ConfigurationError("need at least one sampling fraction")
     sig_cfg = dataclasses.replace(sig_cfg, n_workers=n_workers)
     gt_matrix = score_matrix(runs, gt_qrels, spec)
-    gt_ss = tukey_hsd_pvalues(gt_matrix, sig_cfg)
-    means_gt = mean_scores(gt_matrix)
 
-    rows = []
+    cells = []  # (fraction, repetition, score matrix, (kappa, degenerate))
     for fraction in fractions:
         sampling = SamplingConfig(
             fraction=fraction,
@@ -261,15 +260,17 @@ def run_sweep(
         )
         for rep in range(repetitions):
             cand = percentage_sample(gt_qrels, sampling, rep)
-            cand_matrix = score_matrix(runs, cand, spec)
-            cand_ss = tukey_hsd_pvalues(cand_matrix, sig_cfg)
-            report = full_report(
-                gt_ss, cand_ss, gt_qrels, cand, means_gt, mean_scores(cand_matrix),
-                kappa_threshold=kappa_threshold,
-            )
-            full = report_row(report, dataset="", qrels_name="")
-            rows.append({"fraction": fraction, "repetition": rep,
-                         **{col: full[col] for col in SWEEP_COLUMNS[2:]}})
+            cells.append((fraction, rep, score_matrix(runs, cand, spec),
+                          _kappa_with_flag(gt_qrels, cand, kappa_threshold)))
+
+    gt_ss, *cand_sets = _tukey_many([gt_matrix, *(cell[2] for cell in cells)], sig_cfg)
+    means_gt = mean_scores(gt_matrix)
+    rows = []
+    for (fraction, rep, cand_matrix, kappa), cand_ss in zip(cells, cand_sets):
+        report = _report(gt_ss, cand_ss, means_gt, mean_scores(cand_matrix), kappa)
+        full = report_row(report, dataset="", qrels_name="")
+        rows.append({"fraction": fraction, "repetition": rep,
+                     **{col: full[col] for col in SWEEP_COLUMNS[2:]}})
 
     return SweepResult(
         fractions=list(fractions),

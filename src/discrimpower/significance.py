@@ -19,6 +19,9 @@ rows of the full block, and the first ``B'`` iterations of a run with
 ``B > B'`` iterations are the run with ``B'``. Sampled p-values for a
 given seed differ from version 0.1.0, which keyed one stream on each
 (seed, iteration, topic).
+
+Matrices of one shape tested in one call share each stream's draw, and
+each still gets exactly the null it gets when tested alone.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -38,6 +42,7 @@ EXHAUSTIVE = "exhaustive"
 
 _CHUNK = 65536  # assignments vectorised per block in exhaustive mode
 _BLOCK = 1024  # sampled iterations per (block, topic) stream
+_ACC_CELLS = 1 << 19  # float64 cells (4 MiB) of one chunk's gather accumulator
 
 
 @dataclass(frozen=True)
@@ -108,47 +113,66 @@ def _block_stream(master_seed: int, block: int, topic: int) -> np.random.Generat
     return np.random.Generator(np.random.Philox(key=master_seed, counter=counter))
 
 
-def _null_blocks(values: np.ndarray, master_seed: int, first: int, last: int,
+def _null_blocks(stack: np.ndarray, master_seed: int, first: int, last: int,
                  permutations: int) -> np.ndarray:
-    """HSD* for the iterations of blocks [first, last), capped at ``permutations``."""
-    m, n = values.shape
+    """HSD* of each (m, n) matrix in ``stack`` for the iterations of blocks
+    [first, last), capped at ``permutations``: one row per matrix.
+
+    Every matrix of a chunk gathers from one draw of each (block, topic)
+    stream. A chunk holds as many matrices as keep its accumulator within
+    ``_ACC_CELLS`` cells, so a stack of several chunks draws each stream
+    once per chunk.
+    """
+    k, m, n = stack.shape
+    columns = np.ascontiguousarray(stack.transpose(2, 0, 1))  # columns[t] is (k, m)
+    chunk = max(1, _ACC_CELLS // (_BLOCK * m))
     identity = np.broadcast_to(np.arange(m), (_BLOCK, m))
-    out = []
+    start = first * _BLOCK
+    null = np.empty((k, min(last * _BLOCK, permutations) - start))
+    acc_cells = np.empty(min(chunk, k) * min(_BLOCK, permutations - start) * m)
+    col_cells = np.empty_like(acc_cells)
     for block in range(first, last):
         size = min(_BLOCK, permutations - block * _BLOCK)
-        # acc[k, s] adds, in topic order as sequential_row_means does, the
-        # score of the system that iteration k places in slot s. Fancy
-        # indexing copies, so topic 0's gather can start the sum.
-        for t in range(n):
-            perms = _block_stream(master_seed, block, t).permuted(identity[:size], axis=1)
-            col = values[perms, t]
-            if t == 0:
-                acc = col
-            else:
-                acc += col
-        means = acc / n
-        out.append(means.max(axis=1) - means.min(axis=1))
-    return np.concatenate(out)
+        pos = block * _BLOCK - start
+        for lo in range(0, k, chunk):
+            hi = min(lo + chunk, k)
+            shape = (hi - lo, size, m)
+            acc = acc_cells[:math.prod(shape)].reshape(shape)
+            col = col_cells[:acc.size].reshape(shape)
+            # acc[j, i, s] adds, in topic order as sequential_row_means does,
+            # the score of the system that iteration i places in slot s of
+            # matrix lo + j. Every index is in range, and mode="clip" lets
+            # np.take write to ``out`` without a buffer.
+            for t in range(n):
+                perms = _block_stream(master_seed, block, t).permuted(identity[:size], axis=1)
+                np.take(columns[t, lo:hi], perms, axis=1, out=acc if t == 0 else col,
+                        mode="clip")
+                if t:
+                    acc += col
+            acc /= n
+            np.subtract(acc.max(axis=2), acc.min(axis=2), out=null[lo:hi, pos:pos + size])
+    return null
 
 
-def _sampled_null(values: np.ndarray, cfg: SigTestConfig) -> np.ndarray:
+def _sampled_null(stack: np.ndarray, cfg: SigTestConfig) -> np.ndarray:
+    """The sampled null of each matrix in the (K, m, n) ``stack``, as (K, B)."""
     n_blocks = -(-cfg.permutations // _BLOCK)
     workers = min(cfg.n_workers, n_blocks)
     if workers == 1:
-        return _null_blocks(values, cfg.master_seed, 0, n_blocks, cfg.permutations)
+        return _null_blocks(stack, cfg.master_seed, 0, n_blocks, cfg.permutations)
     from concurrent.futures import ProcessPoolExecutor  # one worker never loads multiprocessing
 
     bounds = [w * n_blocks // workers for w in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = pool.map(
             _null_blocks,
-            [values] * workers,
+            [stack] * workers,
             [cfg.master_seed] * workers,
             bounds[:-1],
             bounds[1:],
             [cfg.permutations] * workers,
         )
-        return np.concatenate(list(parts))
+        return np.concatenate(list(parts), axis=1)
 
 
 def _exhaustive_null(values: np.ndarray, cap: int) -> np.ndarray:
@@ -190,29 +214,52 @@ def tukey_hsd_pvalues(sm: ScoreMatrix, cfg: SigTestConfig = SigTestConfig()) -> 
     (0, 1]. Exhaustive mode enumerates every assignment and returns the
     exact ratio.
     """
-    values = np.asarray(sm.values, dtype=float)
-    m, n = values.shape
-    if m < 2:
-        raise ConfigurationError("significance testing needs at least two systems")
-    if n < 1:
-        raise ConfigurationError("significance testing needs at least one topic")
+    return _tukey_many([sm], cfg)[0]
+
+
+def _tukey_many(matrices: Sequence[ScoreMatrix], cfg: SigTestConfig) -> list[SignificanceSet]:
+    """``tukey_hsd_pvalues`` of every matrix, in order.
+
+    In sampled mode the matrices of one shape are tested together, so each
+    (block, topic) permutation is drawn once for all of them. Each matrix's
+    null, and so its p-values, is the one it gets when tested alone.
+    """
+    values = [np.asarray(sm.values, dtype=float) for sm in matrices]
+    for v in values:
+        m, n = v.shape
+        if m < 2:
+            raise ConfigurationError("significance testing needs at least two systems")
+        if n < 1:
+            raise ConfigurationError("significance testing needs at least one topic")
 
     if cfg.mode == EXHAUSTIVE:
-        null = _exhaustive_null(values, cfg.exhaustive_cap)
-        add, denom = 0, null.size
+        nulls = [_exhaustive_null(v, cfg.exhaustive_cap) for v in values]
+        add = 0
     else:
-        null = _sampled_null(values, cfg)
-        add, denom = 1, cfg.permutations + 1
-    null_sorted = np.sort(null)
+        by_shape: dict[tuple[int, int], list[int]] = {}
+        for i, v in enumerate(values):
+            by_shape.setdefault(v.shape, []).append(i)
+        nulls = [None] * len(values)
+        for members in by_shape.values():
+            stacked = _sampled_null(np.stack([values[i] for i in members]), cfg)
+            for i, null in zip(members, stacked):
+                nulls[i] = null
+        add = 1
+    return [_significance_set(sm, v, null, add, cfg)
+            for sm, v, null in zip(matrices, values, nulls)]
 
+
+def _significance_set(sm: ScoreMatrix, values: np.ndarray, null: np.ndarray, add: int,
+                      cfg: SigTestConfig) -> SignificanceSet:
+    """The p-values of ``sm`` from its ``null``, which is sorted in place."""
+    null.sort()
     means = sequential_row_means(values)
-    p_values: dict[tuple[str, str], float] = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            diff = abs(means[i] - means[j])
-            count = null.size - int(np.searchsorted(null_sorted, diff, side="left"))
-            key = _pair_key(sm.system_tags[i], sm.system_tags[j])
-            p_values[key] = (count + add) / denom
+    first, second = np.triu_indices(len(means), 1)
+    counts = null.size - np.searchsorted(null, np.abs(means[first] - means[second]), side="left")
+    denom = null.size + add
+    tags = sm.system_tags
+    p_values = {_pair_key(tags[i], tags[j]): (count + add) / denom
+                for i, j, count in zip(first.tolist(), second.tolist(), counts.tolist())}
 
     if cfg.alpha_inclusive:
         significant = {p: v <= cfg.alpha for p, v in p_values.items()}

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import io
 import os
+import re
 import threading
 from array import array
 from contextlib import contextmanager
@@ -250,16 +251,27 @@ def _true_false(value) -> str:
     return "true" if value else "false"
 
 
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as one CSV field, quoted as the ``csv`` module quotes by default."""
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _csv_table(columns: Sequence[tuple[str, Callable]], rows: Iterable) -> str:
-    """Comma-separated text: the column names, then one unquoted line per row.
+    """Comma-separated text: the column names, then one line per row.
 
     ``columns`` pairs each column name with the function that writes its
     cells. A row is a dict with exactly those keys or a sequence of one
     value per column, so no value is written without a declared format.
+    Only a field holding a comma, a double quote, CR or LF is quoted.
     """
     names = [name for name, _ in columns]
     declared = set(names)
-    lines = [",".join(names)]
+    lines = [",".join(map(_csv_cell, names))]
     for row in rows:
         if isinstance(row, dict):
             if row.keys() != declared:
@@ -267,7 +279,7 @@ def _csv_table(columns: Sequence[tuple[str, Callable]], rows: Iterable) -> str:
             row = [row[name] for name in names]
         elif len(row) != len(names):
             raise ValidationError(f"row has {len(row)} values for {len(names)} columns")
-        lines.append(",".join(write(value) for (_, write), value in zip(columns, row)))
+        lines.append(",".join(_csv_cell(write(value)) for (_, write), value in zip(columns, row)))
     return "\n".join(lines) + "\n"
 
 

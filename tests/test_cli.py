@@ -1,3 +1,4 @@
+import csv
 import importlib.metadata
 import os
 import pkgutil
@@ -399,6 +400,38 @@ def test_sweep_and_plots(workspace, tmp_path):
     assert code == 0
     curves = (tmp_path / "curves.svg").read_text()
     assert curves.count("<polyline") == 6
+
+
+def test_a_comma_in_a_run_tag_survives_every_csv(workspace, tmp_path):
+    runs_dir = tmp_path / "runs"
+    runs_dir.mkdir()
+    for i, path in enumerate(map(Path, workspace["runs"])):
+        lines = path.read_text().splitlines(keepends=True)
+        if i == 0:  # the tag is the last column of a run line
+            lines = [line.rsplit(" ", 1)[0] + " sys,A\n" for line in lines]
+        (runs_dir / path.name).write_text("".join(lines))
+
+    assert main(["evaluate", "--qrels", workspace["gt"], "--runs-dir", str(runs_dir),
+                 "--out-dir", str(tmp_path / "ev")]) == 0
+    with open(tmp_path / "ev" / "scores.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(rows) == 5 and all(len(row) == len(header) for row in rows)
+    assert "sys,A" in [row[0] for row in rows]
+
+    cmp_args = ["compare", "--gt", workspace["gt"], "--cand", workspace["gt"],
+                "--runs-dir", str(runs_dir), "--permutations", "200"]
+    assert main([*cmp_args, "--out-dir", str(tmp_path / "cmp")]) == 0
+    with open(tmp_path / "cmp" / "pairs.csv", newline="") as fh:
+        pairs = list(csv.DictReader(fh))
+    assert len(pairs) == 10 and all(None not in row for row in pairs)
+    assert sum("sys,A" in (row["system_a"], row["system_b"]) for row in pairs) == 4
+    assert {row["error_class"] for row in pairs} <= {"TP", "TN"}
+
+    assert main(["plot", "--pairs", str(tmp_path / "cmp" / "pairs.csv"),
+                 "--out-dir", str(tmp_path)]) == 0
+    scatter = (tmp_path / "scatter.svg").read_text()
+    assert scatter.count('<circle class="system"') == 5
+    assert "sys,A" in scatter
 
 
 def test_plot_requires_exactly_one_input(tmp_path, capsys):

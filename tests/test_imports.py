@@ -23,9 +23,12 @@ SRC = str(Path(discrimpower.__file__).resolve().parent.parent)
 HEAVY = ("numpy", "multiprocessing", "concurrent.futures.process", "discrimpower.measures")
 
 
-def _child(code, *args, cwd):
-    """Run ``code`` in a fresh interpreter that imports discrimpower from SRC."""
-    env = dict(os.environ)
+def _child(code, *args, cwd, unset=(), **set_env):
+    """Run ``code`` in a fresh interpreter that imports discrimpower from SRC,
+    with the variables in ``unset`` removed from its environment and
+    ``set_env`` added."""
+    env = {name: value for name, value in os.environ.items() if name not in unset}
+    env.update(set_env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
@@ -107,3 +110,51 @@ def test_literal_cli_choices_are_the_module_constants():
         assert tuple(parser.parse_args(command).choices["gain"]) == (LINEAR, EXPONENTIAL)
     popularity = parser.parse_args(["generate", "popularity", "--gt", "q"])
     assert tuple(popularity.choices["p_mode"]) == (PER_TOPIC, GLOBAL, EXPLICIT)
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+EVALUATE_THEN_REPORT = f"""\
+import json, os, sys
+from discrimpower import cli
+code = cli.main(["evaluate", "--qrels", sys.argv[1], "--runs-dir", sys.argv[2],
+                 "--out-dir", sys.argv[3]])
+print(json.dumps([code, len(os.listdir("/proc/self/task")),
+                  [os.environ.get(name) for name in {BLAS_VARS!r}]]))
+"""
+
+
+@pytest.fixture(scope="module")
+def mini_files(tmp_path_factory):
+    from discrimpower.minicollection import write_mini_collection
+
+    root = tmp_path_factory.mktemp("blas")
+    qrels_path, _ = write_mini_collection(root)
+    return [str(qrels_path), str(qrels_path.parent / "runs"), str(root / "out")]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cli_starts_no_blas_threads(tmp_path, mini_files):
+    # No command calls BLAS; numpy's BLAS would otherwise start a worker
+    # thread per extra core when the command imports numpy.
+    proc = _child(EVALUATE_THEN_REPORT, *mini_files, cwd=tmp_path, unset=BLAS_VARS)
+    assert proc.returncode == 0, proc.stderr
+    code, tasks, values = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert tasks <= 1
+    assert values == ["1", "1", "1"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cli_keeps_a_blas_thread_count_already_set(tmp_path, mini_files):
+    proc = _child(EVALUATE_THEN_REPORT, *mini_files, cwd=tmp_path, unset=BLAS_VARS,
+                  OPENBLAS_NUM_THREADS="2")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])[2] == ["2", "1", "1"]
+
+
+def test_importing_the_cli_leaves_the_environment_alone(tmp_path):
+    code = ("import os\nbefore = dict(os.environ)\nimport discrimpower.cli\n"
+            "print(dict(os.environ) == before)\n")
+    proc = _child(code, cwd=tmp_path, unset=BLAS_VARS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from discrimpower import reporting
+from discrimpower import reporting, significance
 from discrimpower.errors import ConfigurationError, ValidationError
 from discrimpower.reporting import (
     PAIR_COLUMNS,
@@ -21,7 +21,7 @@ from discrimpower.reporting import (
     sweep_summary_to_csv,
     sweep_to_csv,
 )
-from discrimpower.significance import SigTestConfig, tukey_hsd_pvalues
+from discrimpower.significance import SigTestConfig, _tukey_many
 from discrimpower.trec import CANDIDATE, Qrels
 
 FAST_SIG = SigTestConfig(permutations=1500, master_seed=0)
@@ -154,14 +154,31 @@ def test_sweep_hands_its_worker_count_to_every_test(mini, monkeypatch):
     runs, qrels = mini
     seen = []
 
-    def recording(sm, cfg):
-        seen.append(cfg.n_workers)
-        return tukey_hsd_pvalues(sm, cfg)
+    def recording(matrices, cfg):
+        seen.append((len(matrices), cfg.n_workers))
+        return _tukey_many(matrices, cfg)
 
-    monkeypatch.setattr(reporting, "tukey_hsd_pvalues", recording)
+    monkeypatch.setattr(reporting, "_tukey_many", recording)
     run_sweep(runs, qrels, fractions=[0.5, 1.0], repetitions=2,
               sig_cfg=SigTestConfig(permutations=50, n_workers=3), n_workers=2)
-    assert seen == [2] * 5  # the ground truth, then four cells
+    assert seen == [(5, 2)]  # one test of the ground truth and four cells
+
+
+def test_compare_draws_each_block_stream_once(mini, monkeypatch):
+    runs, qrels = mini
+    draws = []
+    block_stream = significance._block_stream
+
+    def counting(master_seed, block, topic):
+        draws.append((block, topic))
+        return block_stream(master_seed, block, topic)
+
+    monkeypatch.setattr(significance, "_block_stream", counting)
+    cand = dataclasses.replace(qrels, role=CANDIDATE)
+    cmp = compare_qrels(runs, qrels, cand, sig_cfg=SigTestConfig(permutations=2000))
+    n = len(cmp.gt_matrix.topic_ids)
+    # Two 1024-iteration blocks, one draw per (block, topic) for both matrices.
+    assert sorted(draws) == [(block, t) for block in (0, 1) for t in range(n)]
 
 
 def test_sweep_validation(mini):

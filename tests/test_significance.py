@@ -1,10 +1,13 @@
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from discrimpower import significance
 from discrimpower.errors import ConfigurationError
 from discrimpower.measures import ScoreMatrix, sequential_row_means
 from discrimpower.significance import (
@@ -15,6 +18,7 @@ from discrimpower.significance import (
     significance_to_csv,
     tukey_hsd_pvalues,
     _sampled_null,
+    _tukey_many,
 )
 
 
@@ -66,6 +70,39 @@ def test_exhaustive_matches_independent_enumerator_exactly():
         ref = brute_exhaustive(sm.values)
         for (i, j), expected in ref.items():
             assert mine.p_values[(sm.system_tags[i], sm.system_tags[j])] == expected
+
+
+# Real nDCG matrices are full of exact 0s and ties, which rng.random never gives.
+_SCORES = st.one_of(st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0]),
+                    st.floats(0.0, 1.0, allow_nan=False))
+
+
+@st.composite
+def tied_matrices(draw, max_cells=13_824):
+    """An m x n matrix, m and n <= 4 with (m!)^n <= max_cells, that may hold
+    an all-zero column and identical rows."""
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 4).filter(lambda n: math.factorial(m) ** n <= max_cells))
+    values = np.array(draw(st.lists(st.lists(_SCORES, min_size=n, max_size=n),
+                                    min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        values[:, draw(st.integers(0, n - 1))] = 0.0
+    if draw(st.booleans()):
+        values[1] = values[0]
+    return values
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(values=tied_matrices(), other=tied_matrices())
+def test_exhaustive_matches_brute_force_on_ties_and_zeros(values, other):
+    sm = matrix(values)
+    mine = tukey_hsd_pvalues(sm, SigTestConfig(mode=EXHAUSTIVE))
+    for (i, j), expected in brute_exhaustive(values).items():
+        assert mine.p_values[(sm.system_tags[i], sm.system_tags[j])] == expected
+    # A batch of mixed shapes gives each matrix its own test's result.
+    cfg = SigTestConfig(mode=EXHAUSTIVE)
+    both = _tukey_many([sm, matrix(other)], cfg)
+    assert both == [mine, tukey_hsd_pvalues(matrix(other), cfg)]
 
 
 def paired_randomization_p(x, y):
@@ -158,16 +195,59 @@ def reference_null(values, seed, permutations):
 def test_sampled_null_matches_reference_loop_bit_for_bit(m, n, seed, permutations,
                                                           data_seed):
     values = np.random.default_rng(data_seed).random((m, n))
-    null = _sampled_null(values, SigTestConfig(permutations=permutations,
-                                               master_seed=seed))
+    null = _sampled_null(values[None], SigTestConfig(permutations=permutations,
+                                                     master_seed=seed))[0]
     ref = reference_null(values, seed, permutations)
     assert null.tobytes() == ref.tobytes()
 
 
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 4),
+    m=st.integers(2, 5),
+    n=st.integers(1, 5),
+    seed=st.integers(0, 2**64 - 1),
+    permutations=st.one_of(st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1]),
+                           st.integers(1, 1100)),
+    chunk=st.integers(1, 4),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+@example(k=3, m=4, n=3, seed=5, permutations=1, chunk=2, data_seed=0)
+@example(k=3, m=4, n=3, seed=5, permutations=BLOCK - 1, chunk=1, data_seed=1)
+@example(k=4, m=3, n=2, seed=6, permutations=BLOCK, chunk=3, data_seed=2)
+@example(k=4, m=3, n=2, seed=6, permutations=BLOCK + 1, chunk=2, data_seed=3)
+def test_batched_null_matches_reference_loop_per_matrix(k, m, n, seed, permutations,
+                                                        chunk, data_seed):
+    # An accumulator of ``chunk`` matrices splits most stacks in several chunks.
+    stack = np.random.default_rng(data_seed).random((k, m, n))
+    stack[:, :, 0] = np.round(stack[:, :, 0])  # exact 0s and ties
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(significance, "_ACC_CELLS", chunk * BLOCK * m)
+        nulls = _sampled_null(stack, SigTestConfig(permutations=permutations,
+                                                   master_seed=seed))
+    assert nulls.shape == (k, permutations)
+    for values, null in zip(stack, nulls):
+        assert null.tobytes() == reference_null(values, seed, permutations).tobytes()
+
+
+def test_batched_test_equals_one_matrix_calls_at_any_worker_count():
+    # Mixed shapes: a batch shares draws only between matrices of one shape.
+    rng = np.random.default_rng(21)
+    shapes = [(4, 6), (3, 6), (4, 6), (4, 5), (2, 1), (4, 6)]
+    mats = [matrix(rng.random(shape)) for shape in shapes]
+    for permutations in (1, 1024, 2500):
+        cfg = SigTestConfig(permutations=permutations, master_seed=17)
+        alone = [tukey_hsd_pvalues(sm, cfg) for sm in mats]
+        for workers in (1, 2, 3):
+            many = _tukey_many(mats, dataclasses.replace(cfg, n_workers=workers))
+            assert many == alone, (permutations, workers)
+            assert all(type(p) is float for ss in many for p in ss.p_values.values())
+
+
 def test_sampled_null_is_a_prefix_of_longer_runs():
     values = np.random.default_rng(5).random((5, 9))
-    short = _sampled_null(values, SigTestConfig(permutations=1500, master_seed=8))
-    long = _sampled_null(values, SigTestConfig(permutations=2048, master_seed=8))
+    short = _sampled_null(values[None], SigTestConfig(permutations=1500, master_seed=8))[0]
+    long = _sampled_null(values[None], SigTestConfig(permutations=2048, master_seed=8))[0]
     assert short.tobytes() == long[:1500].tobytes()
 
 
@@ -178,10 +258,10 @@ def test_short_blocks_are_prefixes_of_a_full_block(seed, m, n):
     # gives the same bits as the full block only because numpy's
     # Generator.permuted(..., axis=1) shuffles rows in order.
     values = np.random.default_rng(seed % 1000).random((m, n))
-    full = _sampled_null(values, SigTestConfig(permutations=BLOCK, master_seed=seed))
+    full = _sampled_null(values[None], SigTestConfig(permutations=BLOCK, master_seed=seed))[0]
     for permutations in (1, 200, BLOCK - 1):
-        short = _sampled_null(values, SigTestConfig(permutations=permutations,
-                                                    master_seed=seed))
+        short = _sampled_null(values[None], SigTestConfig(permutations=permutations,
+                                                          master_seed=seed))[0]
         assert short.tobytes() == full[:permutations].tobytes()
 
 

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import os
 import pathlib
 import pickle
@@ -171,6 +173,20 @@ def test_csv_table_writes_each_column_with_its_format():
     text = "name,score,ok\na,0.50,True\nb,1.00,None\n"
     assert _csv_table(columns, [("a", 0.5, True), {"ok": None, "score": 1, "name": "b"}]) == text
     assert _csv_table(columns, []) == "name,score,ok\n"
+
+
+def test_csv_table_quotes_only_fields_that_need_it():
+    columns = (("name", str), ("note", str))
+    rows = [("sys,A", 'say "hi"'), ("cr\rlf\n", "plain")]
+    text = 'name,note\n"sys,A","say ""hi"""\n"cr\rlf\n",plain\n'
+    assert _csv_table(columns, rows) == text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rows=st.lists(st.tuples(st.text(), st.text()), max_size=4))
+def test_csv_table_reads_back_through_the_csv_module(rows):
+    text = _csv_table((("a", str), ("b,c", str)), rows)
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [["a", "b,c"], *map(list, rows)]
 
 
 @pytest.mark.parametrize("row, message", [
