@@ -59,6 +59,12 @@ def write_outputs(root: Path) -> Path:
                  "--repetitions", 2, "--permutations", 1500, "--workers", workers,
                  "--precision", precision,
                  "--out-dir", out / f"sweep-w{workers}-{precision}")
+    _cli("sweep", "--gt", gt, "--runs-dir", runs, "--fractions", "0.3,0.7",
+         "--repetitions", 2, "--permutations", 1500, "--stratified",
+         "--relevant-threshold", 2, "--out-dir", out / "sweep-stratified")
+    _cli("sweep", "--gt", gt, "--runs-dir", runs, "--fractions", "0,0.3,1",
+         "--repetitions", 2, "--permutations", 1500, "--gain", "exponential",
+         "--k", 5, "--kappa-threshold", 1, "--out-dir", out / "sweep-exponential")
 
     _cli("plot", "--pairs", out / "compare-B1500-w1-4" / "pairs.csv",
          "--out", out / "plot" / "scatter.svg")
