@@ -62,6 +62,9 @@ def _parse_fractions(raw: str) -> list[float]:
         raise ConfigurationError(f"cannot parse fractions list {raw!r}")
     if not fractions:
         raise ConfigurationError("empty fractions list")
+    repeated = [f for i, f in enumerate(fractions) if f in fractions[:i]]
+    if repeated:
+        raise ConfigurationError(f"sampling fraction {repeated[0]!r} is listed twice")
     return fractions
 
 
@@ -105,9 +108,13 @@ class _Options:
         raw = self.config[name]
         try:
             value = raw if convert is None else convert(raw)
-        except (ValueError, ConfigurationError) as exc:
+        except ValueError as exc:
             raise ConfigurationError(
                 f"{self.config_path}: invalid value for {name}: {raw!r}"
+            ) from exc
+        except ConfigurationError as exc:  # it says what is wrong with the value
+            raise ConfigurationError(
+                f"{self.config_path}: invalid value for {name}: {exc}"
             ) from exc
         choices = self.args.choices.get(name)
         if choices is not None and value not in choices:

@@ -158,13 +158,18 @@ def _kappa_with_flag(gt: Qrels, cand: Qrels, threshold: int) -> tuple[float, boo
     common = gt.judgments.keys() & cand.judgments.keys()
     if not common:
         raise ValidationError("no shared judged (topic, document) pairs")
-    n = len(common)
     both = pos_gt = pos_cand = 0  # integer counts: the order of keys does not matter
     for key in common:
         rel_gt, rel_cand = gt.judgments[key] >= threshold, cand.judgments[key] >= threshold
         both += rel_gt == rel_cand
         pos_gt += rel_gt
         pos_cand += rel_cand
+    return _kappa_from_counts(len(common), both, pos_gt, pos_cand)
+
+
+def _kappa_from_counts(n: int, both: int, pos_gt: int, pos_cand: int) -> tuple[float, bool]:
+    """Kappa and its degenerate flag from n shared pairs: ``both`` labelled
+    alike, ``pos_gt`` and ``pos_cand`` relevant on each side."""
     p_o, pos_gt, pos_cand = both / n, pos_gt / n, pos_cand / n
     p_e = pos_gt * pos_cand + (1 - pos_gt) * (1 - pos_cand)
     if p_e == 1.0:

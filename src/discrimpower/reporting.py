@@ -22,10 +22,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .measures import MeasureSpec, ScoreMatrix, mean_scores, score_matrix
-from .metrics import DiscrimReport, _kappa_with_flag, _report, full_report
+from .measures import MeasureSpec, ScoreMatrix, _GradeIndex, mean_scores, score_matrix
+from .metrics import DiscrimReport, _kappa_from_counts, _report, full_report
 from .significance import SignificanceSet, SigTestConfig, _tukey_many
-from .synth import SamplingConfig, percentage_sample
+from .synth import SamplingConfig, _sample_grades
 from .trec import Qrels, RunSet, _csv_table, _true_false
 
 SWEEP_METRICS = ("kappa", "tau", "delta_sens", "p1", "r1", "p2", "r2", "bac", "mcc")
@@ -237,17 +237,27 @@ def run_sweep(
     """Compare a percentage sample against the truth for every cell.
 
     Every cell is sampled and scored first, in (fraction, repetition)
-    order; a cell keeps only its score matrix and its kappa. Then one
-    batched significance test covers the ground truth and every cell, and
-    the rows are built in the same order. ``n_workers`` replaces
-    ``sig_cfg.n_workers`` for that test; it splits its iterations across
-    workers on 1024-iteration blocks, so the worker count changes only
-    wall time, never results.
+    order; a cell keeps only its score matrix and its kappa. A cell is
+    never a ``Qrels``: it is one grade vector over the truth's judgments
+    in sorted key order, sampled, scored and compared exactly as
+    ``percentage_sample``, ``score_matrix`` and ``cohen_kappa`` would.
+    Then one batched significance test covers the ground truth and every
+    cell, and the rows are built in the same order. ``n_workers``
+    replaces ``sig_cfg.n_workers`` for that test; it splits its
+    iterations across workers on 1024-iteration blocks, so the worker
+    count changes only wall time, never results.
     """
     if not fractions:
         raise ConfigurationError("need at least one sampling fraction")
+    repeated = [f for i, f in enumerate(fractions) if f in fractions[:i]]
+    if repeated:  # its cells would repeat another fraction's, seed for seed
+        raise ConfigurationError(f"sampling fraction {repeated[0]!r} is listed twice")
     sig_cfg = dataclasses.replace(sig_cfg, n_workers=n_workers)
-    gt_matrix = score_matrix(runs, gt_qrels, spec)
+    index = _GradeIndex(runs, gt_qrels, spec.k)
+    truth = index.grades
+    gt_matrix = index.score(truth, spec.gain)
+    relevant_gt = truth >= kappa_threshold
+    n_gt = int(np.count_nonzero(relevant_gt))
 
     cells = []  # (fraction, repetition, score matrix, (kappa, degenerate))
     for fraction in fractions:
@@ -259,9 +269,11 @@ def run_sweep(
             stratified=stratified,
         )
         for rep in range(repetitions):
-            cand = percentage_sample(gt_qrels, sampling, rep)
-            cells.append((fraction, rep, score_matrix(runs, cand, spec),
-                          _kappa_with_flag(gt_qrels, cand, kappa_threshold)))
+            grades = _sample_grades(truth, index.bounds, sampling, rep)
+            relevant = grades >= kappa_threshold
+            kappa = _kappa_from_counts(len(truth), int(np.count_nonzero(relevant == relevant_gt)),
+                                       n_gt, int(np.count_nonzero(relevant)))
+            cells.append((fraction, rep, index.score(grades, spec.gain), kappa))
 
     gt_ss, *cand_sets = _tukey_many([gt_matrix, *(cell[2] for cell in cells)], sig_cfg)
     means_gt = mean_scores(gt_matrix)

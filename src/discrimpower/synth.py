@@ -17,11 +17,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 
 import numpy as np
 
 from .errors import ConfigurationError
+from .measures import _sorted_judgments
 from .trec import CANDIDATE, Qrels, RunSet
 
 PER_TOPIC = "per_topic"
@@ -67,31 +67,36 @@ def percentage_sample(gt: Qrels, cfg: SamplingConfig, repetition_index: int = 0)
         raise ConfigurationError(
             f"repetition_index {repetition_index} outside [0, {cfg.repetitions})"
         )
+    topics, docs, grades, bounds = _sorted_judgments(gt)
+    sampled = _sample_grades(grades, bounds, cfg, repetition_index)
+    keys = ((topic, doc) for topic, topic_docs in zip(topics, docs) for doc in topic_docs)
+    return Qrels(judgments=dict(zip(keys, sampled.tolist())), role=CANDIDATE)
+
+
+def _sample_grades(grades: np.ndarray, bounds: np.ndarray, cfg: SamplingConfig,
+                   repetition_index: int) -> np.ndarray:
+    """``percentage_sample`` on a grade vector in sorted (topic, doc) order.
+
+    Topic j owns ``grades[bounds[j]:bounds[j + 1]]``. The relevant
+    judgments are drawn from in sorted key order, so the kept set is the
+    one ``percentage_sample`` keeps.
+    """
     rng = np.random.default_rng(
         np.random.SeedSequence(cfg.master_seed, spawn_key=(repetition_index,))
     )
-    judgments = dict(gt.judgments)
-
-    def sample_keys(relevant: list) -> set:
-        k = _round_half_up(cfg.fraction * len(relevant))
-        if k >= len(relevant):
-            return set(relevant)
-        picked = rng.choice(len(relevant), size=k, replace=False)
-        return {relevant[i] for i in picked}
-
-    relevant = sorted(
-        key for key, grade in gt.judgments.items() if grade >= cfg.relevant_threshold
-    )
-    if cfg.stratified:  # the sorted keys hold one run per topic, in topic order
-        topics = groupby(relevant, key=lambda key: key[0])
-        kept = set().union(*(sample_keys(list(keys)) for _, keys in topics))
+    relevant = np.flatnonzero(grades >= cfg.relevant_threshold)
+    if cfg.stratified:  # one draw per topic, in topic order
+        groups = np.split(relevant, np.searchsorted(relevant, bounds[1:-1]))
     else:
-        kept = sample_keys(relevant)
-
-    for key, grade in gt.judgments.items():
-        if grade >= cfg.relevant_threshold and key not in kept:
-            judgments[key] = 0
-    return Qrels(judgments=judgments, role=CANDIDATE)
+        groups = [relevant]
+    sampled = grades.copy()
+    sampled[relevant] = 0
+    for group in groups:
+        k = _round_half_up(cfg.fraction * len(group))
+        if k < len(group):
+            group = group[rng.choice(len(group), size=k, replace=False)]
+        sampled[group] = grades[group]
+    return sampled
 
 
 @dataclass(frozen=True)

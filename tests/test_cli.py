@@ -190,12 +190,19 @@ SWEEP = ["sweep", "--runs-dir", "{runs_dir}", "--gt", "{gt}"]
     (["generate", "popularity", "--runs-dir", "{runs_dir}", "--gt", "{gt}",
       "--p-mode", "explicit"], None, "explicit mode needs explicit_p in [0, 1]"),
     (["plot", "--pairs", "{gt}"], None, "scatter input is missing columns"),
+    (SWEEP + ["--fractions", "0.5,0.5", "--repetitions", "1"], None,
+     "error: sampling fraction 0.5 is listed twice"),
+    (SWEEP, b"fractions=0.2,0.5,0.50\n",
+     "opts.cfg: invalid value for fractions: sampling fraction 0.5 is listed twice"),
+    (["generate", "sample", "--gt", "{gt}", "--fractions", "1,0.3,1.0"], None,
+     "error: sampling fraction 1.0 is listed twice"),
 ], ids=["config-bad-value", "config-unknown-key", "config-not-utf8",
         "qrels-is-a-directory", "qrels-not-utf8", "config-value-not-a-choice",
         "k-0", "k-0-before-missing-runs", "depth-0-before-missing-runs", "alpha-1.5",
         "permutations-0", "workers-0", "seed-negative",
         "fraction-1.5", "repetitions-0", "repetitions-negative", "max-grade-negative",
-        "sample-max-grade-negative", "explicit-mode-without-p", "plot-pairs-given-qrels"])
+        "sample-max-grade-negative", "explicit-mode-without-p", "plot-pairs-given-qrels",
+        "sweep-fraction-twice", "config-fraction-twice", "sample-fraction-twice"])
 def test_bad_input_gives_one_error_line(workspace, tmp_path, args, config, named):
     latin1 = tmp_path / "latin1.qrels"
     latin1.write_bytes(b"q1 0 caf\xe9 1\n")
@@ -211,6 +218,17 @@ def test_bad_input_gives_one_error_line(workspace, tmp_path, args, config, named
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
     assert named in lines[0]
+
+
+def test_a_fraction_listed_twice_exits_1_before_loading(workspace, tmp_path, capsys):
+    # Both cells of a repeated fraction would draw the same seed substream.
+    missing = str(tmp_path / "nowhere")
+    for args in (["sweep", "--gt", missing, "--runs-dir", missing],
+                 ["generate", "sample", "--gt", missing]):
+        assert main([*args, "--fractions", "0.5,0.5", "--repetitions", "1",
+                     "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: sampling fraction 0.5 is listed twice\n"
+    assert not any(tmp_path.iterdir())
 
 
 def _run_error_case(root, case):

@@ -54,7 +54,9 @@ print(json.dumps([code, sorted(set({HEAVY!r}) & set(sys.modules))]))
     (["evaluate", "--qrels", "gt.qrels", "--gain", "cubic"], 2),
     (["evaluate", "--qrels", "gt.qrels", "--runs-dir", ".", "--config", "unknown.cfg"], 1),
     (["sweep", "--gt", "gt.qrels", "--runs-dir", ".", "--config", "choice.cfg"], 1),
-], ids=["build-parser", "help", "bad-flag", "config-unknown-key", "config-value-not-a-choice"])
+    (["sweep", "--gt", "gt.qrels", "--runs-dir", ".", "--fractions", "0.5,0.5"], 1),
+], ids=["build-parser", "help", "bad-flag", "config-unknown-key", "config-value-not-a-choice",
+        "duplicate-fraction"])
 def test_cli_start_and_option_errors_load_no_numpy(tmp_path, argv, code):
     (tmp_path / "unknown.cfg").write_text("permutation=100\n")
     (tmp_path / "choice.cfg").write_text("precision=ful\n")

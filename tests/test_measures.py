@@ -169,3 +169,12 @@ def test_score_matrix_equality_compares_values(mini):
     assert not a == changed
     assert a != ScoreMatrix(a.system_tags[::-1], a.topic_ids, a.values)
     assert a != (a.system_tags, a.topic_ids, a.values)
+
+
+def test_a_cutoff_beyond_every_ranking_costs_no_more_than_the_rankings(mini):
+    # The scoring arrays are as wide as the longest ranking and topic, not k.
+    runs, qrels = mini
+    deepest = max(len(r.doc_ids) for per_topic in runs.runs.values() for r in per_topic.values())
+    widest = max(map(len, qrels.by_topic().values()))
+    whole = score_matrix(runs, qrels, MeasureSpec(k=max(deepest, widest)))
+    assert score_matrix(runs, qrels, MeasureSpec(k=10**12)) == whole
