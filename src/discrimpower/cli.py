@@ -11,19 +11,23 @@ Subcommands:
   metric-curve SVG.
 * ``evaluate`` — export the per-topic score matrix as CSV.
 
-Option precedence is CLI flag, then ``--config`` file (``key=value``
-lines, keys named like the flags with underscores), then the built-in
-default. All file outputs are written atomically and deterministically.
+``OPTIONS`` declares every option once. Option precedence is CLI flag,
+then ``--config`` file (``key=value`` lines, keys named like the flags
+with underscores), then the built-in default. Every option is resolved
+and checked before a command reads any input. All file outputs are
+written atomically and deterministically.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import re
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 from .errors import ConfigurationError, DiscrimPowerError
 from .trec import (
@@ -40,8 +44,6 @@ from .trec import (
 # building the parser, --help and option or config errors never load numpy.
 # For the same reason the --gain and --p-mode choices are spelled out; a test
 # holds them to the constants in measures and synth.
-
-DEFAULT_FRACTIONS = "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0"
 
 
 def _to_bool(raw) -> bool:
@@ -68,6 +70,116 @@ def _parse_fractions(raw: str) -> list[float]:
     return fractions
 
 
+def _split_runs(raw: str) -> list[str]:
+    return raw.split(",")
+
+
+class Option(NamedTuple):
+    """One option: its flag, the commands that take it and how to read it.
+
+    ``default`` is written as in a config file and read by ``convert``;
+    ``None`` means unset. A row with an ``action`` (a switch or a
+    repeatable flag) uses ``convert`` only for config and default text.
+    """
+
+    flag: str
+    commands: tuple[str, ...]
+    help: str
+    default: Optional[str] = None
+    convert: Callable = str
+    choices: Optional[tuple[str, ...]] = None
+    action: object = None
+    required: bool = False
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+_SWITCH = argparse.BooleanOptionalAction
+_GENERATE = ("generate sample", "generate popularity", "generate llm")
+_RUNS = ("compare", "sweep", "generate popularity", "evaluate")
+_TESTS = ("compare", "sweep")
+
+OPTIONS = (
+    Option("--config", ("compare", "sweep", *_GENERATE, "plot", "evaluate"),
+           "key=value option file"),
+    Option("--out-dir", ("compare", "sweep", *_GENERATE, "plot"), "output directory",
+           ".", Path),
+    Option("--out-dir", ("evaluate",), "write scores.csv here; none prints it to stdout",
+           convert=Path),
+    Option("--precision", _TESTS, "metric formatting in CSV outputs", "4",
+           choices=("4", "full")),
+    Option("--gt", ("compare", "sweep", "generate sample", "generate popularity"),
+           "ground-truth qrels file", required=True),
+    Option("--gt", ("generate llm",), "qrels defining the (topic, doc) pairs to label",
+           required=True),
+    Option("--cand", ("compare",), "candidate qrels file", required=True),
+    Option("--qrels", ("evaluate",), "qrels file to score against", required=True),
+    Option("--max-grade", ("compare", "sweep", *_GENERATE, "evaluate"),
+           "largest allowed relevance grade", "3", int),
+    Option("--runs-dir", _RUNS, "directory whose every file is one run"),
+    Option("--run", _RUNS, "one run file (repeatable; comma-separated in a config file)",
+           convert=_split_runs, action="append"),
+    Option("--tag-from-filename", _RUNS, "use the file stem as the system tag", "false",
+           _to_bool, action=_SWITCH),
+    Option("--k", ("compare", "sweep", "evaluate"), "rank cutoff", "10", int),
+    Option("--gain", ("compare", "sweep", "evaluate"), "gain function", "linear",
+           choices=("linear", "exponential")),
+    Option("--alpha", _TESTS, "significance level", "0.05", float),
+    Option("--permutations", _TESTS, "randomisation iterations", "10000", int),
+    Option("--seed", (*_TESTS, "generate sample"), "master seed", "0", int),
+    Option("--alpha-inclusive", _TESTS, "treat p = alpha as significant", "false", _to_bool,
+           action=_SWITCH),
+    Option("--workers", _TESTS,
+           "processes for each significance test, split on 1024-iteration blocks", "1", int),
+    Option("--kappa-threshold", _TESTS, "binarisation grade for label agreement", "2", int),
+    Option("--dataset", ("compare",),
+           "dataset label for the report row; none means the --gt file stem"),
+    Option("--name", ("compare",),
+           "candidate label for the report row; none means the --cand file stem"),
+    Option("--relevant-threshold", ("sweep", "generate sample", "generate popularity"),
+           "grade at which a judgment counts as relevant", "1", int),
+    Option("--stratified", ("sweep", "generate sample"),
+           "sample per topic instead of globally", "false", _to_bool, action=_SWITCH),
+    Option("--fractions", ("sweep",), "comma-separated sampling fractions",
+           "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0", _parse_fractions),
+    Option("--fractions", ("generate sample",), "comma-separated sampling fractions",
+           convert=_parse_fractions),
+    Option("--fraction", ("generate sample",), "single sampling fraction", convert=float),
+    Option("--repetitions", ("sweep",), "samples per fraction", "10", int),
+    Option("--repetitions", ("generate sample",), "samples per fraction", "1", int),
+    Option("--depth", ("generate popularity",), "retrieval-count depth", "100", int),
+    Option("--p-mode", ("generate popularity",),
+           "how many documents per topic to label relevant", "per_topic",
+           choices=("per_topic", "global", "explicit")),
+    Option("--explicit-p", ("generate popularity",),
+           "relevant fraction for --p-mode explicit", convert=float),
+    Option("--queries", ("generate llm",), "TSV: topic_id <TAB> query text"),
+    Option("--texts", ("generate llm",), "TSV: topic_id <TAB> doc_id <TAB> document text"),
+    Option("--endpoint", ("generate llm",), "chat-completion endpoint URL"),
+    Option("--model", ("generate llm",), "model identifier"),
+    Option("--prompt-file", ("generate llm",),
+           "prompt template with {query} and {document} slots; none means the built-in one"),
+    Option("--scale-max", ("generate llm",), "highest grade on the prompt's scale", "3", int),
+    Option("--timeout", ("generate llm",), "seconds to wait for each reply", "60", float),
+    Option("--retries", ("generate llm",), "attempts per request", "3", int),
+    Option("--cache-dir", ("generate llm",), "reply cache directory; none caches nothing"),
+    Option("--rate-limit", ("generate llm",), "max requests per second; none means no limit",
+           convert=float),
+    Option("--concurrency", ("generate llm",), "requests in flight at once", "4", int),
+    Option("--api-key-env", ("generate llm",), "environment variable holding the API key",
+           "LLM_API_KEY"),
+    Option("--skip-failures", ("generate llm",),
+           "drop pairs that fail instead of failing the job", "false", _to_bool,
+           action=_SWITCH),
+    Option("--pairs", ("plot",), "pairs.csv from compare"),
+    Option("--sweep", ("plot",), "sweep.csv from sweep"),
+    Option("--out", ("plot",),
+           "output SVG path; none means scatter.svg or sweep.svg in --out-dir"),
+)
+
+
 def _load_config(path) -> dict[str, str]:
     config: dict[str, str] = {}
     # Iterating the file splits at \n, \r\n and \r only, as the TREC
@@ -85,44 +197,49 @@ def _load_config(path) -> dict[str, str]:
     return config
 
 
-class _Options:
-    """Per-invocation option resolution: flag, then config, then default."""
+def _from_config(option: Option, raw: str, path):
+    try:
+        value = option.convert(raw)
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"{path}: invalid value for {option.dest}: {raw!r}"
+        ) from exc
+    except ConfigurationError as exc:  # it says what is wrong with the value
+        raise ConfigurationError(
+            f"{path}: invalid value for {option.dest}: {exc}"
+        ) from exc
+    if option.choices is not None and value not in option.choices:
+        raise ConfigurationError(
+            f"{path}: invalid value for {option.dest}: {raw!r} "
+            f"(choose from {', '.join(option.choices)})"
+        )
+    return value
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config_path = getattr(args, "config", None)
-        self.config = _load_config(self.config_path) if self.config_path else {}
-        known = set(vars(args)) - {"command", "method", "func", "choices", "config"}
-        unknown = sorted(set(self.config) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"{self.config_path}: unknown option {', '.join(unknown)}"
-            )
 
-    def get(self, name: str, default, convert=None):
-        value = getattr(self.args, name, None)
-        if value is not None:
-            return value
-        if name not in self.config:
-            return default
-        raw = self.config[name]
-        try:
-            value = raw if convert is None else convert(raw)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"{self.config_path}: invalid value for {name}: {raw!r}"
-            ) from exc
-        except ConfigurationError as exc:  # it says what is wrong with the value
-            raise ConfigurationError(
-                f"{self.config_path}: invalid value for {name}: {exc}"
-            ) from exc
-        choices = self.args.choices.get(name)
-        if choices is not None and value not in choices:
-            raise ConfigurationError(
-                f"{self.config_path}: invalid value for {name}: {raw!r} "
-                f"(choose from {', '.join(choices)})"
-            )
-        return value
+def _resolve(args: argparse.Namespace) -> dict:
+    """Every option of ``args.command``: its flag, else its config value, else its default.
+
+    Every config value is converted and checked, even one a flag
+    overrides, before a command imports a domain module or reads input.
+    """
+    options = {o.dest: o for o in OPTIONS if args.command in o.commands}
+    path = args.config
+    config = _load_config(path) if path else {}
+    unknown = sorted(set(config) - set(options))
+    if unknown:
+        raise ConfigurationError(f"{path}: unknown option {', '.join(unknown)}")
+    values = {}
+    for key, raw in config.items():
+        if key == "config" or options[key].required:
+            raise ConfigurationError(f"{path}: {key} can only be given as a flag")
+        values[key] = _from_config(options[key], raw, path)
+    for dest, option in options.items():
+        flag = getattr(args, dest)
+        if flag is not None:
+            values[dest] = flag
+        elif dest not in values:
+            values[dest] = None if option.default is None else option.convert(option.default)
+    return values
 
 
 def _write_text(path: Path, text: str):
@@ -132,64 +249,68 @@ def _write_text(path: Path, text: str):
     print(f"wrote {path}")
 
 
-def _load_runset(opts: _Options, depth: int):
-    # Each command keeps the ranking prefix it scores: k, or --depth.
-    runs_dir = opts.get("runs_dir", None)
-    run_list = opts.get("run", None, convert=lambda raw: raw.split(","))
-    tag_from_filename = opts.get("tag_from_filename", False, _to_bool)
+def _load_runset(opts: dict, depth: int):
+    # Called before any other input is read, so a bad pair of run options
+    # is reported before any file is opened. Each command keeps the ranking
+    # prefix it scores: k, or --depth.
+    runs_dir, run_list = opts["runs_dir"], opts["run"]
     if runs_dir and run_list:
         raise ConfigurationError("give either --runs-dir or --run, not both")
     if runs_dir:
-        return load_runs_dir(runs_dir, tag_from_filename, depth)
+        return load_runs_dir(runs_dir, opts["tag_from_filename"], depth)
     if run_list:
-        return load_runs(run_list, tag_from_filename, depth)
+        return load_runs(run_list, opts["tag_from_filename"], depth)
     raise ConfigurationError("no runs given: use --runs-dir or --run")
 
 
-def _measure_spec(opts: _Options):
-    from .measures import LINEAR, MeasureSpec
+def _measure_spec(opts: dict):
+    from .measures import MeasureSpec
 
-    return MeasureSpec(
-        k=opts.get("k", 10, int),
-        gain=opts.get("gain", LINEAR),
-    )
+    return MeasureSpec(k=opts["k"], gain=opts["gain"])
 
 
-def _sig_config(opts: _Options):
+def _sig_config(opts: dict):
     from .significance import SigTestConfig
 
     return SigTestConfig(
-        alpha=opts.get("alpha", 0.05, float),
-        permutations=opts.get("permutations", 10_000, int),
-        master_seed=opts.get("seed", 0, int),
-        alpha_inclusive=opts.get("alpha_inclusive", False, _to_bool),
-        n_workers=opts.get("workers", 1, int),
+        alpha=opts["alpha"],
+        permutations=opts["permutations"],
+        master_seed=opts["seed"],
+        alpha_inclusive=opts["alpha_inclusive"],
+        n_workers=opts["workers"],
     )
 
 
-def cmd_compare(args) -> int:
-    opts = _Options(args)
-    out_dir = Path(opts.get("out_dir", "."))
-    precision = opts.get("precision", "4")
-    max_grade = opts.get("max_grade", 3, int)
-    spec = _measure_spec(opts)
+def _sampling_configs(opts: dict, fractions) -> list:
+    from .synth import SamplingConfig
 
+    return [
+        SamplingConfig(
+            fraction=fraction,
+            repetitions=opts["repetitions"],
+            master_seed=opts["seed"],
+            relevant_threshold=opts["relevant_threshold"],
+            stratified=opts["stratified"],
+        )
+        for fraction in fractions
+    ]
+
+
+def cmd_compare(opts: dict) -> int:
+    spec = _measure_spec(opts)
+    sig_cfg = _sig_config(opts)
     runs = _load_runset(opts, spec.k)
-    gt = load_qrels(args.gt, max_grade, GROUND_TRUTH)
-    cand = load_qrels(args.cand, max_grade, CANDIDATE)
+    gt = load_qrels(opts["gt"], opts["max_grade"], GROUND_TRUTH)
+    cand = load_qrels(opts["cand"], opts["max_grade"], CANDIDATE)
     from . import reporting
 
     cmp = reporting.compare_qrels(
-        runs,
-        gt,
-        cand,
-        spec=spec,
-        sig_cfg=_sig_config(opts),
-        kappa_threshold=opts.get("kappa_threshold", 2, int),
+        runs, gt, cand, spec=spec, sig_cfg=sig_cfg, kappa_threshold=opts["kappa_threshold"],
     )
-    dataset = opts.get("dataset", Path(args.gt).stem)
-    name = opts.get("name", Path(args.cand).stem)
+    dataset = Path(opts["gt"]).stem if opts["dataset"] is None else opts["dataset"]
+    name = Path(opts["cand"]).stem if opts["name"] is None else opts["name"]
     row = reporting.report_row(cmp.report, dataset, name)
+    precision, out_dir = opts["precision"], opts["out_dir"]
     report_csv = reporting.report_to_csv([row], precision)
     _write_text(out_dir / "report.csv", report_csv)
     _write_text(out_dir / "report.json", reporting.report_to_json([row]))
@@ -201,31 +322,28 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    opts = _Options(args)
-    out_dir = Path(opts.get("out_dir", "."))
-    precision = opts.get("precision", "4")
-    max_grade = opts.get("max_grade", 3, int)
+def cmd_sweep(opts: dict) -> int:
     spec = _measure_spec(opts)
-
-    runs = _load_runset(opts, spec.k)
-    gt = load_qrels(args.gt, max_grade, GROUND_TRUTH)
     sig_cfg = _sig_config(opts)
+    _sampling_configs(opts, opts["fractions"])  # checks each cell's settings up front
+    runs = _load_runset(opts, spec.k)
+    gt = load_qrels(opts["gt"], opts["max_grade"], GROUND_TRUTH)
     from . import reporting
 
     result = reporting.run_sweep(
         runs,
         gt,
-        fractions=opts.get("fractions", _parse_fractions(DEFAULT_FRACTIONS), _parse_fractions),
-        repetitions=opts.get("repetitions", 10, int),
-        master_seed=opts.get("seed", 0, int),
+        fractions=opts["fractions"],
+        repetitions=opts["repetitions"],
+        master_seed=opts["seed"],
         spec=spec,
         sig_cfg=sig_cfg,
-        kappa_threshold=opts.get("kappa_threshold", 2, int),
-        relevant_threshold=opts.get("relevant_threshold", 1, int),
-        stratified=opts.get("stratified", False, _to_bool),
+        kappa_threshold=opts["kappa_threshold"],
+        relevant_threshold=opts["relevant_threshold"],
+        stratified=opts["stratified"],
         n_workers=sig_cfg.n_workers,
     )
+    precision, out_dir = opts["precision"], opts["out_dir"]
     _write_text(out_dir / "sweep.csv", reporting.sweep_to_csv(result, precision))
     _write_text(
         out_dir / "sweep_summary.csv",
@@ -234,106 +352,72 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_generate_sample(args) -> int:
-    opts = _Options(args)
-    out_dir = Path(opts.get("out_dir", "."))
-    max_grade = opts.get("max_grade", 3, int)
-    gt = load_qrels(args.gt, max_grade, GROUND_TRUTH)
-
-    single = opts.get("fraction", None, float)
-    listed = opts.get("fractions", None, _parse_fractions)
+def cmd_generate_sample(opts: dict) -> int:
+    single, listed = opts["fraction"], opts["fractions"]
     if single is not None and listed is not None:
         raise ConfigurationError("give either --fraction or --fractions, not both")
     if single is None and listed is None:
         raise ConfigurationError("give a sampling fraction via --fraction or --fractions")
-    fractions = listed if listed is not None else [single]
-    from .synth import SamplingConfig, percentage_sample
+    configs = _sampling_configs(opts, listed if listed is not None else [single])
+    gt = load_qrels(opts["gt"], opts["max_grade"], GROUND_TRUTH)
+    from .synth import percentage_sample
 
-    repetitions = opts.get("repetitions", 1, int)
-    for fraction in fractions:
-        cfg = SamplingConfig(
-            fraction=fraction,
-            repetitions=repetitions,
-            master_seed=opts.get("seed", 0, int),
-            relevant_threshold=opts.get("relevant_threshold", 1, int),
-            stratified=opts.get("stratified", False, _to_bool),
-        )
-        for rep in range(repetitions):
+    for cfg in configs:
+        for rep in range(cfg.repetitions):
             sampled = percentage_sample(gt, cfg, rep)
             _write_text(
-                out_dir / f"sample_{fraction:g}_{rep}.qrels",
+                opts["out_dir"] / f"sample_{cfg.fraction:g}_{rep}.qrels",
                 serialize_qrels(sampled),
             )
     return 0
 
 
-def cmd_generate_popularity(args) -> int:
-    opts = _Options(args)
-    out_dir = Path(opts.get("out_dir", "."))
-    max_grade = opts.get("max_grade", 3, int)
-    gt = load_qrels(args.gt, max_grade, GROUND_TRUTH)
-    from .synth import EXPLICIT, PER_TOPIC, PopularityConfig, popularity_biased
+def cmd_generate_popularity(opts: dict) -> int:
+    from .synth import EXPLICIT, PopularityConfig, popularity_biased
 
-    p_mode = opts.get("p_mode", PER_TOPIC)
-    explicit_p = opts.get("explicit_p", None, float)
     cfg = PopularityConfig(
-        depth=opts.get("depth", 100, int),
-        p_mode=p_mode,
-        explicit_p=explicit_p,
-        relevant_threshold=opts.get("relevant_threshold", 1, int),
+        depth=opts["depth"],
+        p_mode=opts["p_mode"],
+        explicit_p=opts["explicit_p"],
+        relevant_threshold=opts["relevant_threshold"],
     )
-    labelled = popularity_biased(gt, _load_runset(opts, cfg.depth), cfg)
-    param = f"{explicit_p:g}" if p_mode == EXPLICIT else p_mode
-    _write_text(out_dir / f"popularity_{param}_0.qrels", serialize_qrels(labelled))
+    runs = _load_runset(opts, cfg.depth)
+    gt = load_qrels(opts["gt"], opts["max_grade"], GROUND_TRUTH)
+    labelled = popularity_biased(gt, runs, cfg)
+    param = f"{cfg.explicit_p:g}" if cfg.p_mode == EXPLICIT else cfg.p_mode
+    _write_text(opts["out_dir"] / f"popularity_{param}_0.qrels", serialize_qrels(labelled))
     return 0
 
 
-def cmd_generate_llm(args) -> int:
-    opts = _Options(args)
+def cmd_generate_llm(opts: dict) -> int:
+    for key in ("endpoint", "model", "queries", "texts"):
+        if opts[key] is None:
+            raise ConfigurationError(f"--{key} is required for llm generation")
     from . import labeller  # the rest of the tool works without requests
 
-    out_dir = Path(opts.get("out_dir", "."))
-    max_grade = opts.get("max_grade", 3, int)
-    gt = load_qrels(args.gt, max_grade, GROUND_TRUTH)
-
-    endpoint = opts.get("endpoint", None)
-    model = opts.get("model", None)
-    queries_path = opts.get("queries", None)
-    texts_path = opts.get("texts", None)
-    for flag, value in (("--endpoint", endpoint), ("--model", model),
-                        ("--queries", queries_path), ("--texts", texts_path)):
-        if value is None:
-            raise ConfigurationError(f"{flag} is required for llm generation")
-
-    prompt_file = opts.get("prompt_file", None)
-    template = (
-        Path(prompt_file).read_text(encoding="utf-8")
-        if prompt_file
-        else labeller.DEFAULT_PROMPT_TEMPLATE
-    )
-    cache_dir = opts.get("cache_dir", None)
     cfg = labeller.LabellerConfig(
-        endpoint=endpoint,
-        model=model,
-        prompt_template=template,
-        scale_max=opts.get("scale_max", 3, int),
-        timeout=opts.get("timeout", 60.0, float),
-        max_retries=opts.get("retries", 3, int),
-        cache_dir=Path(cache_dir) if cache_dir else None,
-        rate_limit=opts.get("rate_limit", None, float),
-        concurrency=opts.get("concurrency", 4, int),
-        api_key_env=opts.get("api_key_env", "LLM_API_KEY"),
+        endpoint=opts["endpoint"],
+        model=opts["model"],
+        scale_max=opts["scale_max"],
+        timeout=opts["timeout"],
+        max_retries=opts["retries"],
+        cache_dir=Path(opts["cache_dir"]) if opts["cache_dir"] else None,
+        rate_limit=opts["rate_limit"],
+        concurrency=opts["concurrency"],
+        api_key_env=opts["api_key_env"],
     )
+    if opts["prompt_file"]:  # read only once every option has been checked
+        template = Path(opts["prompt_file"]).read_text(encoding="utf-8")
+        cfg = dataclasses.replace(cfg, prompt_template=template)
+    gt = load_qrels(opts["gt"], opts["max_grade"], GROUND_TRUTH)
     pairs = labeller.assemble_pairs(
         gt,
-        labeller.load_query_texts(queries_path),
-        labeller.load_pair_texts(texts_path),
+        labeller.load_query_texts(opts["queries"]),
+        labeller.load_pair_texts(opts["texts"]),
     )
-    qrels, _ = labeller.label_qrels(
-        pairs, cfg, skip_failures=opts.get("skip_failures", False, _to_bool)
-    )
-    safe_model = re.sub(r"[^A-Za-z0-9._-]+", "-", model)
-    _write_text(out_dir / f"llm_{safe_model}_0.qrels", serialize_qrels(qrels))
+    qrels, _ = labeller.label_qrels(pairs, cfg, skip_failures=opts["skip_failures"])
+    safe_model = re.sub(r"[^A-Za-z0-9._-]+", "-", cfg.model)
+    _write_text(opts["out_dir"] / f"llm_{safe_model}_0.qrels", serialize_qrels(qrels))
     return 0
 
 
@@ -342,89 +426,44 @@ def _read_csv_rows(path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def cmd_plot(args) -> int:
-    opts = _Options(args)
-    if bool(args.pairs) == bool(args.sweep):
+def cmd_plot(opts: dict) -> int:
+    if bool(opts["pairs"]) == bool(opts["sweep"]):
         raise ConfigurationError("give exactly one of --pairs or --sweep")
-    out_dir = Path(opts.get("out_dir", "."))
     from . import svgplot
 
-    if args.pairs:
-        svg = svgplot.render_scatter(_read_csv_rows(args.pairs))
-        out = Path(args.out) if args.out else out_dir / "scatter.svg"
+    if opts["pairs"]:
+        svg = svgplot.render_scatter(_read_csv_rows(opts["pairs"]))
+        default_name = "scatter.svg"
     else:
-        svg = svgplot.render_sweep(_read_csv_rows(args.sweep))
-        out = Path(args.out) if args.out else out_dir / "sweep.svg"
-    _write_text(out, svg)
+        svg = svgplot.render_sweep(_read_csv_rows(opts["sweep"]))
+        default_name = "sweep.svg"
+    _write_text(Path(opts["out"]) if opts["out"] else opts["out_dir"] / default_name, svg)
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    opts = _Options(args)
-    max_grade = opts.get("max_grade", 3, int)
+def cmd_evaluate(opts: dict) -> int:
     spec = _measure_spec(opts)
     runs = _load_runset(opts, spec.k)
-    qrels = load_qrels(args.qrels, max_grade, GROUND_TRUTH)
+    qrels = load_qrels(opts["qrels"], opts["max_grade"], GROUND_TRUTH)
     from .measures import score_matrix
 
-    sm = score_matrix(runs, qrels, spec)
-    out_dir = opts.get("out_dir", None)
-    if out_dir is None:
-        sys.stdout.write(sm.to_csv())
+    csv_text = score_matrix(runs, qrels, spec).to_csv()
+    if opts["out_dir"] is None:
+        sys.stdout.write(csv_text)
     else:
-        _write_text(Path(out_dir) / "scores.csv", sm.to_csv())
+        _write_text(opts["out_dir"] / "scores.csv", csv_text)
     return 0
 
 
-def _add_common_flags(p: argparse.ArgumentParser, out_dir: bool = True):
-    p.add_argument("--config", help="key=value option file")
-    if out_dir:
-        p.add_argument("--out-dir", dest="out_dir", help="output directory")
-    p.add_argument("--precision", choices=["4", "full"],
-                   help="metric formatting in CSV outputs")
-
-
-def _add_run_flags(p: argparse.ArgumentParser):
-    p.add_argument("--runs-dir", dest="runs_dir",
-                   help="directory whose every file is one run")
-    p.add_argument("--run", action="append",
-                   help="one run file (repeatable)")
-    p.add_argument("--tag-from-filename", dest="tag_from_filename",
-                   action=argparse.BooleanOptionalAction, default=None,
-                   help="use the file stem as the system tag")
-
-
-def _add_measure_flags(p: argparse.ArgumentParser):
-    p.add_argument("--k", type=int, help="rank cutoff (default 10)")
-    p.add_argument("--gain", choices=["linear", "exponential"],
-                   help="gain function (default linear)")
-    p.add_argument("--max-grade", dest="max_grade", type=int,
-                   help="largest allowed relevance grade (default 3)")
-
-
-def _add_sig_flags(p: argparse.ArgumentParser):
-    p.add_argument("--alpha", type=float, help="significance level (default 0.05)")
-    p.add_argument("--permutations", type=int,
-                   help="randomisation iterations (default 10000)")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
-    p.add_argument("--alpha-inclusive", dest="alpha_inclusive",
-                   action=argparse.BooleanOptionalAction, default=None,
-                   help="treat p = alpha as significant")
-    p.add_argument("--workers", type=int,
-                   help="processes for each significance test, split on "
-                        "1024-iteration blocks (default 1)")
-
-
-def _add_sampling_flags(p: argparse.ArgumentParser):
-    p.add_argument("--relevant-threshold", dest="relevant_threshold", type=int,
-                   help="grade at which a judgment counts as relevant (default 1)")
-    p.add_argument("--stratified", action=argparse.BooleanOptionalAction,
-                   default=None, help="sample per topic instead of globally")
-
-
-def _bind(p: argparse.ArgumentParser, func) -> None:
-    # A config value is held to the same choices as the flag it stands for.
-    p.set_defaults(func=func, choices={a.dest: a.choices for a in p._actions if a.choices})
+COMMANDS = {
+    "compare": (cmd_compare, "compare candidate qrels against ground truth"),
+    "sweep": (cmd_sweep, "percentage-sampling sweep"),
+    "generate sample": (cmd_generate_sample, "percentage sampling of relevant judgments"),
+    "generate popularity": (cmd_generate_popularity, "label most-retrieved documents relevant"),
+    "generate llm": (cmd_generate_llm, "zero-shot relevance labelling over HTTP"),
+    "plot": (cmd_plot, "render a comparison or sweep CSV to SVG"),
+    "evaluate": (cmd_evaluate, "export the score matrix as CSV"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,103 +472,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantify how well candidate relevance judgments reproduce "
                     "the significance conclusions of ground-truth judgments.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compare", help="compare candidate qrels against ground truth")
-    _add_common_flags(p)
-    _add_run_flags(p)
-    _add_measure_flags(p)
-    _add_sig_flags(p)
-    p.add_argument("--gt", required=True, help="ground-truth qrels file")
-    p.add_argument("--cand", required=True, help="candidate qrels file")
-    p.add_argument("--kappa-threshold", dest="kappa_threshold", type=int,
-                   help="binarisation grade for label agreement (default 2)")
-    p.add_argument("--dataset", help="dataset label for the report row")
-    p.add_argument("--name", help="candidate label for the report row")
-    _bind(p, cmd_compare)
-
-    p = sub.add_parser("sweep", help="percentage-sampling sweep")
-    _add_common_flags(p)
-    _add_run_flags(p)
-    _add_measure_flags(p)
-    _add_sig_flags(p)
-    _add_sampling_flags(p)
-    p.add_argument("--gt", required=True, help="ground-truth qrels file")
-    p.add_argument("--fractions", type=_parse_fractions,
-                   help="comma-separated sampling fractions")
-    p.add_argument("--repetitions", type=int, help="samples per fraction (default 10)")
-    p.add_argument("--kappa-threshold", dest="kappa_threshold", type=int)
-    _bind(p, cmd_sweep)
-
-    p = sub.add_parser("generate", help="produce candidate qrels")
-    gen_sub = p.add_subparsers(dest="method", required=True)
-
-    g = gen_sub.add_parser("sample", help="percentage sampling of relevant judgments")
-    _add_common_flags(g)
-    _add_sampling_flags(g)
-    g.add_argument("--gt", required=True)
-    g.add_argument("--fraction", type=float, help="single sampling fraction")
-    g.add_argument("--fractions", type=_parse_fractions,
-                   help="comma-separated sampling fractions")
-    g.add_argument("--repetitions", type=int, help="samples per fraction (default 1)")
-    g.add_argument("--seed", type=int, help="master seed (default 0)")
-    g.add_argument("--max-grade", dest="max_grade", type=int)
-    _bind(g, cmd_generate_sample)
-
-    g = gen_sub.add_parser("popularity", help="label most-retrieved documents relevant")
-    _add_common_flags(g)
-    _add_run_flags(g)
-    g.add_argument("--gt", required=True)
-    g.add_argument("--depth", type=int, help="retrieval-count depth (default 100)")
-    g.add_argument("--p-mode", dest="p_mode",
-                   choices=["per_topic", "global", "explicit"],
-                   help="how many documents per topic to label relevant")
-    g.add_argument("--explicit-p", dest="explicit_p", type=float,
-                   help="relevant fraction for --p-mode explicit")
-    g.add_argument("--relevant-threshold", dest="relevant_threshold", type=int)
-    g.add_argument("--max-grade", dest="max_grade", type=int)
-    _bind(g, cmd_generate_popularity)
-
-    g = gen_sub.add_parser("llm", help="zero-shot relevance labelling over HTTP")
-    _add_common_flags(g)
-    g.add_argument("--gt", required=True,
-                   help="qrels defining the (topic, doc) pairs to label")
-    g.add_argument("--queries", help="TSV: topic_id <TAB> query text")
-    g.add_argument("--texts", help="TSV: topic_id <TAB> doc_id <TAB> document text")
-    g.add_argument("--endpoint", help="chat-completion endpoint URL")
-    g.add_argument("--model", help="model identifier")
-    g.add_argument("--prompt-file", dest="prompt_file",
-                   help="prompt template with {query} and {document} slots")
-    g.add_argument("--scale-max", dest="scale_max", type=int)
-    g.add_argument("--timeout", type=float)
-    g.add_argument("--retries", type=int)
-    g.add_argument("--cache-dir", dest="cache_dir")
-    g.add_argument("--rate-limit", dest="rate_limit", type=float,
-                   help="max requests per second")
-    g.add_argument("--concurrency", type=int)
-    g.add_argument("--api-key-env", dest="api_key_env",
-                   help="environment variable holding the API key")
-    g.add_argument("--skip-failures", dest="skip_failures",
-                   action=argparse.BooleanOptionalAction, default=None)
-    g.add_argument("--max-grade", dest="max_grade", type=int)
-    _bind(g, cmd_generate_llm)
-
-    p = sub.add_parser("plot", help="render a comparison or sweep CSV to SVG")
-    _add_common_flags(p)
-    p.add_argument("--pairs", help="pairs.csv from compare")
-    p.add_argument("--sweep", help="sweep.csv from sweep")
-    p.add_argument("--out", help="output SVG path")
-    _bind(p, cmd_plot)
-
-    p = sub.add_parser("evaluate", help="export the score matrix as CSV")
-    _add_common_flags(p, out_dir=False)
-    p.add_argument("--out-dir", dest="out_dir",
-                   help="write scores.csv here instead of stdout")
-    _add_run_flags(p)
-    _add_measure_flags(p)
-    p.add_argument("--qrels", required=True, help="qrels file to score against")
-    _bind(p, cmd_evaluate)
-
+    groups = {"": parser.add_subparsers(required=True)}
+    for command, (_, command_help) in COMMANDS.items():
+        group, _, word = command.rpartition(" ")
+        if group not in groups:
+            groups[group] = groups[""].add_parser(
+                group, help="produce candidate qrels").add_subparsers(required=True)
+        p = groups[group].add_parser(word, help=command_help)
+        p.set_defaults(command=command)
+        # argparse defaults stay None, so a flag that was given is told
+        # apart from one that was not; _resolve fills in the rest.
+        for o in OPTIONS:
+            if command not in o.commands:
+                continue
+            shown = "" if o.required else f" (default {o.default or 'none'})"
+            kind = {"action": o.action} if o.action else {"type": o.convert, "choices": o.choices}
+            p.add_argument(o.flag, required=o.required, help=o.help + shown, **kind)
     return parser
 
 
@@ -540,7 +498,7 @@ def main(argv=None) -> int:
         os.environ.setdefault(var, "1")
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        return COMMANDS[args.command][0](_resolve(args))
     except FileNotFoundError as exc:
         name = exc.filename if exc.filename else exc
         print(f"error: file not found: {name}", file=sys.stderr)

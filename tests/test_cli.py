@@ -12,6 +12,7 @@ import pytest
 import discrimpower
 from discrimpower import cli
 from discrimpower.cli import _load_config, main
+from discrimpower.errors import ConfigurationError
 from discrimpower.minicollection import write_mini_collection
 from discrimpower.trec import load_qrels
 
@@ -196,13 +197,22 @@ SWEEP = ["sweep", "--runs-dir", "{runs_dir}", "--gt", "{gt}"]
      "opts.cfg: invalid value for fractions: sampling fraction 0.5 is listed twice"),
     (["generate", "sample", "--gt", "{gt}", "--fractions", "1,0.3,1.0"], None,
      "error: sampling fraction 1.0 is listed twice"),
+    (COMPARE, b"config=other.cfg\n", "opts.cfg: config can only be given as a flag"),
+    (COMPARE, b"cand=x.qrels\n", "opts.cfg: cand can only be given as a flag"),
+    (SWEEP, b"gt=x.qrels\n", "opts.cfg: gt can only be given as a flag"),
+    (EVALUATE, b"qrels=x.qrels\n", "opts.cfg: qrels can only be given as a flag"),
+    (EVALUATE, b"precision=4\n", "opts.cfg: unknown option precision"),
+    (COMPARE + ["--precision", "4"], b"precision=ful\n",
+     "opts.cfg: invalid value for precision: 'ful'"),
 ], ids=["config-bad-value", "config-unknown-key", "config-not-utf8",
         "qrels-is-a-directory", "qrels-not-utf8", "config-value-not-a-choice",
         "k-0", "k-0-before-missing-runs", "depth-0-before-missing-runs", "alpha-1.5",
         "permutations-0", "workers-0", "seed-negative",
         "fraction-1.5", "repetitions-0", "repetitions-negative", "max-grade-negative",
         "sample-max-grade-negative", "explicit-mode-without-p", "plot-pairs-given-qrels",
-        "sweep-fraction-twice", "config-fraction-twice", "sample-fraction-twice"])
+        "sweep-fraction-twice", "config-fraction-twice", "sample-fraction-twice",
+        "config-key-config", "config-key-cand", "config-key-gt", "config-key-qrels",
+        "config-key-precision-on-evaluate", "config-value-checked-under-a-flag"])
 def test_bad_input_gives_one_error_line(workspace, tmp_path, args, config, named):
     latin1 = tmp_path / "latin1.qrels"
     latin1.write_bytes(b"q1 0 caf\xe9 1\n")
@@ -229,6 +239,49 @@ def test_a_fraction_listed_twice_exits_1_before_loading(workspace, tmp_path, cap
                      "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err == "error: sampling fraction 0.5 is listed twice\n"
     assert not any(tmp_path.iterdir())
+
+
+MISSING = "{missing}"
+ALL_INPUTS_MISSING = {
+    "compare": ["--gt", MISSING, "--cand", MISSING, "--runs-dir", MISSING],
+    "sweep": ["--gt", MISSING, "--runs-dir", MISSING],
+    "generate sample": ["--gt", MISSING],
+    "generate popularity": ["--gt", MISSING, "--runs-dir", MISSING],
+    "generate llm": ["--gt", MISSING, "--queries", MISSING, "--texts", MISSING],
+}
+
+
+@pytest.mark.parametrize("command, flags, config, named", [
+    ("compare", ["--alpha", "1.5"], None, "alpha must be in (0, 1), got 1.5"),
+    ("compare", ["--permutations", "0"], None, "permutation count must be >= 1"),
+    ("compare", ["--workers", "0"], None, "n_workers must be >= 1"),
+    ("compare", ["--seed", "-1"], None, "master_seed must be a non-negative integer"),
+    ("compare", [], b"permutations=abc\n", "opts.cfg: invalid value for permutations: 'abc'"),
+    ("sweep", ["--repetitions", "0"], None, "repetitions must be >= 1"),
+    ("generate sample", ["--fraction", "1.5"], None, "fraction must be in [0, 1], got 1.5"),
+    ("generate popularity", ["--p-mode", "explicit"], None,
+     "explicit mode needs explicit_p in [0, 1]"),
+    ("generate llm", ["--model", "m"], None, "--endpoint is required for llm generation"),
+    ("generate llm", ["--model", "m", "--endpoint", "http://127.0.0.1:1/", "--timeout", "0"],
+     None, "timeout must be > 0 seconds, got 0.0"),
+    ("generate llm", ["--model", "m", "--endpoint", "http://127.0.0.1:1/"], b"retries=0\n",
+     "max_retries must be >= 1"),
+], ids=["compare-alpha-1.5", "compare-permutations-0", "compare-workers-0",
+        "compare-seed-negative", "compare-config-permutations-abc", "sweep-repetitions-0",
+        "sample-fraction-1.5", "popularity-explicit-without-p", "llm-without-endpoint",
+        "llm-timeout-0", "llm-config-retries-0"])
+def test_option_errors_come_before_any_input(tmp_path, capsys, monkeypatch,
+                                             command, flags, config, named):
+    # Every input path is missing, so reading any of them would exit 2.
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    args = [*command.split(), *ALL_INPUTS_MISSING[command], *flags, "--out-dir", str(out)]
+    if config is not None:
+        (tmp_path / "opts.cfg").write_bytes(config)
+        args += ["--config", "opts.cfg"]
+    assert main([arg.format(missing=tmp_path / "nowhere") for arg in args]) == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert not out.exists()
 
 
 def _run_error_case(root, case):
@@ -479,6 +532,22 @@ def test_plot_missing_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_plot_takes_its_input_and_output_from_a_config_file(workspace, tmp_path):
+    assert run_compare(workspace, tmp_path / "cmp") == 0
+    config = tmp_path / "plot.cfg"
+    config.write_text(f"pairs={tmp_path / 'cmp' / 'pairs.csv'}\nout={tmp_path / 'x.svg'}\n")
+    assert main(["plot", "--config", str(config)]) == 0
+    scatter = (tmp_path / "x.svg").read_bytes()
+    assert scatter.count(b'<circle class="system"') == 5
+
+    assert main(["plot", "--config", str(config), "--out", str(tmp_path / "y.svg")]) == 0
+    assert (tmp_path / "y.svg").read_bytes() == scatter  # the flag wins over the file
+
+    config.write_text(f"sweep={tmp_path / 'cmp' / 'pairs.csv'}\nout={tmp_path / 'z.svg'}\n")
+    assert main(["plot", "--config", str(config)]) == 1  # a pairs file is not a sweep
+    assert not (tmp_path / "z.svg").exists()
+
+
 def test_evaluate_stdout_and_file(workspace, tmp_path, capsys):
     code = main([
         "evaluate", "--qrels", workspace["gt"],
@@ -520,6 +589,71 @@ def test_commands_load_runs_to_the_depth_they_score(workspace, tmp_path, monkeyp
     args = [arg.format(**workspace) for arg in args]
     assert main([*args, "--runs-dir", workspace["runs_dir"], "--out-dir", str(tmp_path)]) == 0
     assert depths == [depth]
+
+
+def _resolved(command, *flags):
+    """The options ``command`` resolves from ``flags`` and its required files."""
+    required = [arg for o in cli.OPTIONS if command in o.commands and o.required
+                for arg in (o.flag, "x")]
+    return cli._resolve(cli.build_parser().parse_args([*command.split(), *required, *flags]))
+
+
+SAMPLE_TEXT = {int: "7", float: "0.25", str: "x.txt", Path: "elsewhere",
+               cli._parse_fractions: "0.2,0.4"}
+
+
+@pytest.mark.parametrize("command, option", [
+    pytest.param(command, o, id=f"{command.replace(' ', '-')}{o.flag}")
+    for o in cli.OPTIONS for command in o.commands
+])
+def test_each_option_reads_alike_from_flag_and_config(tmp_path, capsys, monkeypatch,
+                                                      command, option):
+    assert command in cli.COMMANDS
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exit_info:
+        cli.build_parser().parse_args([*command.split(), "--help"])
+    assert exit_info.value.code == 0
+    shown = option.help if option.required else f"{option.help} (default {option.default or 'none'})"
+    assert shown in " ".join(capsys.readouterr().out.split())
+
+    config = tmp_path / "opts.cfg"
+    if option.required or option.dest == "config":
+        config.write_text(f"{option.dest}=x\n")
+        with pytest.raises(ConfigurationError, match=f": {option.dest} can only be given as a flag"):
+            _resolved(command, "--config", str(config))
+        return
+    if option.action == "append":
+        flags, text = [option.flag, "a", option.flag, "b"], "a,b"
+    elif option.action is not None:  # a switch
+        flags, text = [option.flag], "true"
+    else:
+        text = option.choices[-1] if option.choices else SAMPLE_TEXT[option.convert]
+        flags = [option.flag, text]
+    config.write_text(f"{option.dest}={text}\n")
+    from_flag = _resolved(command, *flags)[option.dest]
+    assert from_flag == _resolved(command, "--config", str(config))[option.dest]
+    assert from_flag != _resolved(command)[option.dest]  # neither is the default
+
+    if option.choices is not None:
+        with pytest.raises(SystemExit) as exit_info:
+            _resolved(command, option.flag, "bogus")
+        assert exit_info.value.code == 2
+        config.write_text(f"{option.dest}=bogus\n")
+        with pytest.raises(ConfigurationError, match=r"'bogus' \(choose from "):
+            _resolved(command, "--config", str(config))
+
+
+@pytest.mark.parametrize("command", ["evaluate", "generate sample", "generate popularity",
+                                     "generate llm", "plot"])
+def test_only_compare_and_sweep_take_precision(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        _resolved(command, "--precision", "4")
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --precision 4" in capsys.readouterr().err
+    config = tmp_path / "opts.cfg"
+    config.write_text("precision=4\n")
+    with pytest.raises(ConfigurationError, match="unknown option precision"):
+        _resolved(command, "--config", str(config))
 
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"

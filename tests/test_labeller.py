@@ -13,6 +13,7 @@ from discrimpower.labeller import (
     LabellingError,
     ResponseParseError,
     TransportError,
+    _RateLimiter,
     assemble_pairs,
     extract_grade,
     label_pair,
@@ -76,6 +77,10 @@ def test_config_validation():
         LabellerConfig(endpoint="http://x", model="m", rate_limit=0.0)
     with pytest.raises(ConfigurationError):
         LabellerConfig(endpoint="http://x", model="m", concurrency=0)
+    with pytest.raises(ConfigurationError, match="timeout must be > 0 seconds, got -1"):
+        LabellerConfig(endpoint="http://x", model="m", timeout=-1)
+    with pytest.raises(ConfigurationError, match="max_retries must be >= 1"):
+        LabellerConfig(endpoint="http://x", model="m", max_retries=0)
 
 
 def test_default_prompt_has_both_slots():
@@ -200,14 +205,26 @@ def test_corrupt_cache_entry_is_a_miss(stub_server, tmp_path, corrupt):
     assert state.requests == 2 and again.cached
 
 
-def test_rate_limit_spaces_requests(stub_server):
+def test_rate_limit_spaces_requests(stub_server, monkeypatch):
     url, state = stub_server
-    pairs = make_pairs(6)
-    label_qrels(pairs, cfg_for(url, rate_limit=20.0, concurrency=4))
-    stamps = sorted(state.timestamps)
-    gaps = [b - a for a, b in zip(stamps, stamps[1:])]
-    # 20 req/s -> 50 ms slots; allow scheduling jitter
-    assert all(g >= 0.030 for g in gaps), gaps
+    qrels, _ = label_qrels(make_pairs(6), cfg_for(url, rate_limit=20.0, concurrency=4))
+    assert len(qrels.judgments) == 6 and state.requests == 6
+
+    # On a clock that stands still, six requests arrive at once from six
+    # threads: 20 req/s hands them slots 50 ms apart, and each thread
+    # sleeps until its own slot, so none is sent early. The server's
+    # arrival times would add the host's scheduling jitter.
+    slept = []
+    monkeypatch.setattr("discrimpower.labeller.time.monotonic", lambda: 100.0)
+    monkeypatch.setattr("discrimpower.labeller.time.sleep", slept.append)
+    limiter = _RateLimiter(20.0)
+    threads = [threading.Thread(target=limiter.wait) for _ in range(6)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=5)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(slept) == pytest.approx([i / 20 for i in range(1, 6)], rel=0, abs=1e-9)
 
 
 def test_server_error_fails_job_listing_pair(stub_server):
