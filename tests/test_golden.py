@@ -18,6 +18,7 @@ import pytest
 
 from discrimpower.cli import main
 from discrimpower.minicollection import write_mini_collection
+from discrimpower.trec import CANDIDATE, Qrels, load_qrels, load_runs_dir, save_qrels
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 COLLECTION = dict(n_systems=12, n_topics=15, n_docs=200, judged_per_topic=60,
@@ -27,6 +28,28 @@ COLLECTION = dict(n_systems=12, n_topics=15, n_docs=200, judged_per_topic=60,
 def _cli(*args):
     code = main([str(a) for a in args])
     assert code == 0, args
+
+
+def write_mixed_candidate(sample: Path, gt: Path, runs: Path, path: Path) -> Path:
+    """A candidate whose judged keys differ from the truth's on the same topics.
+
+    It is ``sample`` without every 7th judgment in sorted key order, plus
+    grades for the first two documents of ``sys12``'s top 10 that the truth
+    leaves unjudged, on each of the first five topics.
+    """
+    kept = sorted(load_qrels(sample).judgments.items())
+    judgments = {key: grade for i, (key, grade) in enumerate(kept) if i % 7 != 6}
+    truth = load_qrels(gt).judgments
+    system = load_runs_dir(runs).runs["sys12"]
+    added = 0
+    for topic in sorted(system)[:5]:
+        unjudged = [doc for doc in system[topic].doc_ids[:10] if (topic, doc) not in truth]
+        for doc, grade in zip(unjudged, (3, 1)):
+            judgments[(topic, doc)] = grade
+            added += 1
+    assert added > 0, "the candidate must judge documents the truth leaves unjudged"
+    save_qrels(Qrels(judgments, role=CANDIDATE), path)
+    return path
 
 
 def write_outputs(root: Path) -> Path:
@@ -53,6 +76,11 @@ def write_outputs(root: Path) -> Path:
                      "--permutations", b, "--workers", workers, "--seed", 3,
                      "--precision", precision,
                      "--out-dir", out / f"compare-B{b}-w{workers}-{precision}")
+    mixed = write_mixed_candidate(cand, gt, runs, root / "collection" / "mixed.qrels")
+    for workers in (1, 2):
+        _cli("compare", "--gt", gt, "--cand", mixed, "--runs-dir", runs,
+             "--permutations", 1500, "--workers", workers, "--seed", 3,
+             "--precision", "full", "--out-dir", out / f"compare-mixed-w{workers}-full")
     for workers in (1, 2):
         for precision in ("4", "full"):
             _cli("sweep", "--gt", gt, "--runs-dir", runs, "--fractions", "0.3,0.7",
@@ -95,7 +123,7 @@ def test_cli_outputs_match_golden_digests(outputs):
 
 def test_worker_count_does_not_change_outputs(outputs):
     pairs = [(name, name.replace("-w1-", "-w2-")) for name in outputs if "-w1-" in name]
-    assert len(pairs) == 4 * 3 + 2 * 2
+    assert len(pairs) == 5 * 3 + 2 * 2  # five compare and two sweep settings
     for one, two in pairs:
         assert outputs[one] == outputs[two], one
 
