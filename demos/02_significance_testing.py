@@ -16,7 +16,6 @@ from discrimpower import (
     SigTestConfig,
     build_mini_collection,
     score_matrix,
-    significance_partition,
     tukey_hsd_pvalues,
 )
 
@@ -32,9 +31,8 @@ def main():
         mark = "*" if ss.significant[(a, b)] else " "
         print(f"  {a} vs {b}: p={p:.4f} {mark}")
 
-    sig, nonsig = significance_partition(ss)
-    print(f"\nsignificant pairs:     {sorted(sig)}")
-    print(f"non-significant pairs: {sorted(nonsig)}")
+    print(f"\nsignificant pairs:     {sorted(ss.S)}")
+    print(f"non-significant pairs: {sorted(ss.NS)}")
 
     # Rerunning with the same seed is bit-identical; a different seed
     # moves sampled p-values slightly but not the conclusions.

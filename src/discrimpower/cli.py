@@ -70,6 +70,13 @@ def _parse_fractions(raw: str) -> list[float]:
     return fractions
 
 
+def _max_grade(raw) -> int:
+    value = int(raw)
+    if value < 0:  # before any input is read; parse_qrels checks it for library callers
+        raise ConfigurationError(f"max_grade must be >= 0, got {value}")
+    return value
+
+
 def _split_runs(raw: str) -> list[str]:
     return raw.split(",")
 
@@ -117,7 +124,7 @@ OPTIONS = (
     Option("--cand", ("compare",), "candidate qrels file", required=True),
     Option("--qrels", ("evaluate",), "qrels file to score against", required=True),
     Option("--max-grade", ("compare", "sweep", *_GENERATE, "evaluate"),
-           "largest allowed relevance grade", "3", int),
+           "largest allowed relevance grade", "3", _max_grade),
     Option("--runs-dir", _RUNS, "directory whose every file is one run"),
     Option("--run", _RUNS, "one run file (repeatable; comma-separated in a config file)",
            convert=_split_runs, action="append"),

@@ -3,13 +3,19 @@
 The score matrix is the single input to significance testing and to the
 system ranking, so everything here is deterministic: topics and systems
 are kept in sorted order and per-system means are summed left-to-right.
+
+Every score is computed on a ``_GradeIndex``, the qrels sets' judged keys
+as grade vectors; each equals ``ndcg_at_k``, the plain reference, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain, groupby, repeat
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -121,60 +127,51 @@ def sequential_row_means(values: np.ndarray) -> np.ndarray:
     return acc / values.shape[1]
 
 
-def _sorted_judgments(qrels: Qrels) -> tuple[list[str], list[list[str]], np.ndarray, np.ndarray]:
-    """A qrels set in sorted (topic, doc) order: the topics, each topic's
-    docs, every judgment's grade, and the bounds of the topics' segments."""
-    by_topic = qrels.by_topic()
-    topics = sorted(by_topic)
-    docs = [sorted(by_topic[topic]) for topic in topics]
-    grades = np.fromiter((by_topic[topic][doc] for topic, ds in zip(topics, docs) for doc in ds),
-                         dtype=np.int64, count=len(qrels.judgments))
-    return topics, docs, grades, np.cumsum([0, *map(len, docs)])
+def _union_judgments(*qrels_sets: Qrels) -> tuple[list[tuple[str, str]], list[str], np.ndarray,
+                                                   np.ndarray, np.ndarray]:
+    """The union of the sets' judged (topic, doc) keys in sorted order.
+
+    Returns the keys, their topics, the bounds of the topics' segments,
+    one row per set holding its grade of every key (0 where it judged
+    none), and a mask of the keys every set judged. Both arrays end in
+    one more slot, a 0 grade that no set judged, which index -1 reads.
+    """
+    keys = sorted(chain.from_iterable(q.judgments for q in qrels_sets))
+    if len(qrels_sets) > 1:  # a sorted merge: a set union of the keys holds more memory
+        keys = [key for key, _ in groupby(keys)]
+    topics = [topic for topic, _ in groupby(keys, key=itemgetter(0))]
+    bounds = np.array([*(bisect_left(keys, (topic,)) for topic in topics), len(keys)])
+    grades = np.fromiter(chain.from_iterable(chain(map(q.judgments.get, keys, repeat(0)), [0])
+                                             for q in qrels_sets),
+                         dtype=np.int64, count=len(qrels_sets) * (len(keys) + 1))
+    shared = np.fromiter(chain(map(all, zip(*(map(q.judgments.__contains__, keys)
+                                              for q in qrels_sets))), [False]),
+                         dtype=bool, count=len(keys) + 1)
+    return keys, topics, bounds, grades.reshape(len(qrels_sets), len(keys) + 1), shared
 
 
-def _scored_systems(runs: RunSet, topics: list[str]) -> list[str]:
-    """The systems to score on ``topics``, the judged topics in sorted order."""
-    if not topics:
-        raise ConfigurationError("qrels contain no judgments")
-    systems = runs.systems()
-    if not systems:
-        raise ConfigurationError("run set contains no systems")
-    if not set(runs.topics()) & set(topics):
-        raise ConfigurationError("runs and qrels share no topics")
-    return systems
+def _ranked(runs: RunSet, systems: list[str], keys: list[tuple[str, str]], topics: list[str],
+            bounds: list[int], k: int) -> np.ndarray:
+    """The position in ``keys`` of each system's top-k documents on each topic.
 
-
-def _ranked(runs: RunSet, systems: list[str], lookups: list[Mapping[str, int]], topics: list[str],
-            k: int, missing: int) -> np.ndarray:
-    """``lookups[j][doc]`` for each system's top-k documents on each topic j.
-
-    The (systems, topics, ranks) array holds ``missing`` for an unjudged
-    document and pads short and missing rankings with it. It is as wide
-    as the deepest ranking when that is shallower than k.
+    The (systems, topics, ranks) array holds -1 for an unjudged document
+    and pads short and missing rankings with it. It is as wide as the
+    deepest ranking when that is shallower than k.
     """
     rankings = [runs.runs[tag] for tag in systems]
     width = min(k, max((len(r.doc_ids) for per in rankings for r in per.values()), default=0))
-    values, pad = array("q"), [missing] * width
-    for per_topic in rankings:
-        for topic, lookup in zip(topics, lookups):
+    values, pad = array("q"), [-1] * width
+    for topic, start, end in zip(topics, bounds, bounds[1:]):
+        # One topic's positions at a time: a dict over every key holds far more.
+        position = {keys[i][1]: i for i in range(start, end)}
+        for per_topic in rankings:
             ranking = per_topic.get(topic)
-            row = [] if ranking is None else [lookup.get(doc, missing)
+            row = [] if ranking is None else [position.get(doc, -1)
                                               for doc in ranking.doc_ids[:width]]
             values.extend(row)
             values.extend(pad[len(row):])
-    return np.frombuffer(values, dtype=np.int64).reshape(len(systems), len(topics), width)
-
-
-def _gains(grades: np.ndarray, values: np.ndarray, kind: str) -> np.ndarray:
-    """The gain of every grade, from a table built with ``_gain`` over
-    ``values``: the sorted distinct grades, which hold every one in ``grades``."""
-    table = np.array([_gain(g, kind) if g > 0 else 0.0 for g in values.tolist()])
-    return table[np.searchsorted(values, grades)]
-
-
-def _grade_values(qrels: Qrels) -> np.ndarray:
-    """Every grade a score of ``qrels`` or of a sample of it reads, 0 included."""
-    return np.array(sorted({0, *qrels.judgments.values()}), dtype=np.int64)
+    ranked = np.frombuffer(values, dtype=np.int64).reshape(len(topics), len(systems), width)
+    return ranked.swapaxes(0, 1)
 
 
 def _dcg_rows(gains: np.ndarray) -> np.ndarray:
@@ -186,41 +183,57 @@ def _dcg_rows(gains: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _ndcg_matrix(gains: np.ndarray, ideal: np.ndarray) -> np.ndarray:
-    """nDCG of (systems, topics, ranks) gains in rank order against each
-    topic's ideal gains, (topics, ranks); 0 where the ideal DCG is 0."""
-    dcg, idcg = _dcg_rows(gains), _dcg_rows(ideal)
-    return np.divide(dcg, idcg, out=np.zeros_like(dcg), where=idcg != 0.0)
-
-
 class _GradeIndex:
-    """One qrels set's judgments as arrays, for scoring many grade vectors.
+    """The judgments of one or more qrels sets as arrays, for scoring grade vectors.
 
-    A grade vector holds one grade per judgment in sorted (topic, doc)
-    order, each one of the qrels set's grades or 0, as a sample's are;
-    ``grades`` is the qrels set's own. ``bounds[j]:bounds[j + 1]`` is
-    topic j's segment. ``ranked[i, j]`` holds the positions of system i's
-    top-k documents for topic j and ``judged[j]`` those of topic j's
-    judgments. Both are padded with -1, which reads a 0 grade appended to
-    the vector; an unjudged document and a missing ranking read it too.
+    The index covers the union of the sets' judged (topic, doc) keys in
+    sorted order; ``bounds[j]:bounds[j + 1]`` is topic j's segment.
+    ``grades[s]`` is set s's grade vector, with 0 for a key it did not
+    judge: an unjudged document and a grade-0 one both gain 0, so each
+    set scores as on its own judgments. ``shared`` marks the keys every
+    set judged. Any vector of one grade per key, each one of the sets'
+    grades or 0 as a sample's are, can be scored; it ends in the 0 slot
+    of ``_union_judgments``.
+
+    ``ranked[i, j]`` holds the positions of system i's top-k documents
+    for topic j, padded with -1, which reads that last 0; an unjudged
+    document and a missing ranking read it too.
     """
 
-    def __init__(self, runs: RunSet, qrels: Qrels, k: int):
-        topics, docs, self.grades, self.bounds = _sorted_judgments(qrels)
-        self.systems, self.topics, self.k = _scored_systems(runs, topics), topics, k
-        self.values = _grade_values(qrels)
-        positions = [{doc: start + i for i, doc in enumerate(ds)}
-                     for start, ds in zip(self.bounds[:-1].tolist(), docs)]
-        self.ranked = _ranked(runs, self.systems, positions, topics, k, -1)
-        self.judged = self.bounds[:-1, None] + np.arange(max(map(len, docs)))
-        self.judged[self.judged >= self.bounds[1:, None]] = -1
+    def __init__(self, runs: RunSet, k: int, *qrels_sets: Qrels):
+        keys, topics, self.bounds, self.grades, self.shared = _union_judgments(*qrels_sets)
+        if not topics:
+            raise ConfigurationError("qrels contain no judgments")
+        self.systems, self.topics = runs.systems(), topics
+        if not self.systems:
+            raise ConfigurationError("run set contains no systems")
+        if not set(runs.topics()) & set(topics):
+            raise ConfigurationError("runs and qrels share no topics")
+        # Every grade a scored vector can hold: the sets' own and 0.
+        self.values = np.array(sorted({0, *chain.from_iterable(q.judgments.values()
+                                                             for q in qrels_sets)}),
+                               dtype=np.int64)
+        bounds = self.bounds.tolist()
+        self.ranked = _ranked(runs, self.systems, keys, topics, bounds, k)
+        # The width of the ideal ranking: k, or the most judgments of a topic.
+        self.k = min(k, max(end - start for start, end in zip(bounds, bounds[1:])))
 
     def score(self, grades: np.ndarray, gain: str) -> ScoreMatrix:
-        """nDCG@k of every system on every topic under one grade vector."""
-        gains = _gains(np.append(grades, 0), self.values, gain)
-        # Gains rise with grades, so sorting gains sorts the ideal ranking.
-        ideal = np.sort(gains[self.judged], axis=1)[:, ::-1][:, :self.k]
-        return ScoreMatrix(self.systems, self.topics, _ndcg_matrix(gains[self.ranked], ideal))
+        """nDCG@k of every system on every topic under one grade vector.
+
+        Only the ranked grades and each topic's top k become arrays, so
+        scoring allocates no array as long as the vector.
+        """
+        ideal = np.zeros((len(self.topics), self.k), dtype=np.int64)
+        for row, start, end in zip(ideal, self.bounds[:-1].tolist(), self.bounds[1:].tolist()):
+            top = sorted(grades[start:end].tolist(), reverse=True)[:self.k]
+            row[:len(top)] = top
+        table = np.array([_gain(g, gain) if g > 0 else 0.0 for g in self.values.tolist()])
+        # Gains rise with grades, so the top grades give the ideal gains.
+        dcg, idcg = (_dcg_rows(table[np.searchsorted(self.values, g)])
+                     for g in (grades[self.ranked], ideal))
+        ndcg = np.divide(dcg, idcg, out=np.zeros_like(dcg), where=idcg != 0.0)
+        return ScoreMatrix(self.systems, self.topics, ndcg)
 
 
 def score_matrix(runs: RunSet, qrels: Qrels,
@@ -230,16 +243,8 @@ def score_matrix(runs: RunSet, qrels: Qrels,
     Topics are those present in the qrels; a system with no ranking for a
     topic scores 0 on it. Each score equals ``ndcg_at_k`` bit for bit.
     """
-    by_topic = qrels.by_topic()
-    topics = sorted(by_topic)
-    systems = _scored_systems(runs, topics)
-    grades = _ranked(runs, systems, [by_topic[topic] for topic in topics], topics, spec.k, 0)
-    ideal = [sorted(by_topic[topic].values(), reverse=True)[:spec.k] for topic in topics]
-    width = max(map(len, ideal))
-    ideal = np.array([row + [0] * (width - len(row)) for row in ideal], dtype=np.int64)
-    values = _grade_values(qrels)
-    scores = _ndcg_matrix(_gains(grades, values, spec.gain), _gains(ideal, values, spec.gain))
-    return ScoreMatrix(systems, topics, scores)
+    index = _GradeIndex(runs, spec.k, qrels)
+    return index.score(index.grades[0], spec.gain)
 
 
 def mean_scores(sm: ScoreMatrix) -> dict[str, float]:

@@ -18,10 +18,14 @@ can distinguish "no evidence" from "all wrong".
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+import numpy as np
+
 from .errors import ConfigurationError, ValidationError
+from .measures import _union_judgments
 from .significance import SignificanceSet
 from .trec import Qrels
 
@@ -56,23 +60,16 @@ def confusion(gt: SignificanceSet, cand: SignificanceSet) -> ConfusionCounts:
     Both sets must cover exactly the same system pairs; a mismatch means
     the two tests were not run on the same runs.
     """
-    gt_pairs = set(gt.significant)
-    cand_pairs = set(cand.significant)
-    if gt_pairs != cand_pairs:
-        only_gt = sorted(gt_pairs - cand_pairs)
-        only_cand = sorted(cand_pairs - gt_pairs)
+    if gt.significant.keys() != cand.significant.keys():
+        gt_pairs, cand_pairs = set(gt.significant), set(cand.significant)
         raise ValidationError(
             "pair universes differ between ground truth and candidate: "
-            f"only in ground truth {only_gt}, only in candidate {only_cand}"
+            f"only in ground truth {sorted(gt_pairs - cand_pairs)}, "
+            f"only in candidate {sorted(cand_pairs - gt_pairs)}"
         )
-    s_gt, ns_gt = gt.S, gt.NS
-    s_cand, ns_cand = cand.S, cand.NS
-    return ConfusionCounts(
-        tp=len(s_gt & s_cand),
-        tn=len(ns_gt & ns_cand),
-        fp=len(ns_gt & s_cand),
-        fn=len(s_gt & ns_cand),
-    )
+    outcomes = Counter((sig, cand.significant[pair]) for pair, sig in gt.significant.items())
+    return ConfusionCounts(tp=outcomes[True, True], tn=outcomes[False, False],
+                           fp=outcomes[False, True], fn=outcomes[True, False])
 
 
 def _ratio(num: int, denom: int) -> Optional[float]:
@@ -142,34 +139,29 @@ def cohen_kappa(
     cand: Qrels,
     threshold: int = 2,
 ) -> float:
-    kappa, _ = _kappa_with_flag(gt, cand, threshold)
-    return kappa
+    """Cohen's kappa over binarized labels on the judged pairs both sets share."""
+    *_, (gt_grades, cand_grades), shared = _union_judgments(gt, cand)
+    return _kappa(gt_grades, cand_grades, shared, threshold)[0]
 
 
-def _kappa_with_flag(gt: Qrels, cand: Qrels, threshold: int) -> tuple[float, bool]:
-    """Cohen's kappa over binarized labels on the shared judged pairs.
+def _kappa(gt: np.ndarray, cand: np.ndarray, shared: np.ndarray,
+           threshold: int) -> tuple[float, bool]:
+    """Cohen's kappa and its degenerate flag over the keys ``shared`` marks.
 
-    Grades are binarized as relevant when ``grade >= threshold``. When
-    expected agreement is 1 (at least one rater gives a single constant
-    label class combination making p_e degenerate), kappa is defined as
-    1.0 for perfect observed agreement and 0.0 otherwise; the flag marks
-    that degenerate case.
+    ``gt`` and ``cand`` are two grade vectors over the same keys. Grades
+    are binarized as relevant when ``grade >= threshold``. When expected
+    agreement is 1 (at least one rater gives a single constant label
+    class combination making p_e degenerate), kappa is defined as 1.0
+    for perfect observed agreement and 0.0 otherwise; the flag marks that
+    degenerate case.
     """
-    common = gt.judgments.keys() & cand.judgments.keys()
-    if not common:
+    relevant_gt, relevant_cand = gt >= threshold, cand >= threshold
+    # Python int counts: the order of the keys does not matter, and the
+    # rates below are Python floats.
+    n, both, pos_gt, pos_cand = (int(np.count_nonzero(shared & v)) for v in (
+        True, relevant_gt == relevant_cand, relevant_gt, relevant_cand))
+    if n == 0:
         raise ValidationError("no shared judged (topic, document) pairs")
-    both = pos_gt = pos_cand = 0  # integer counts: the order of keys does not matter
-    for key in common:
-        rel_gt, rel_cand = gt.judgments[key] >= threshold, cand.judgments[key] >= threshold
-        both += rel_gt == rel_cand
-        pos_gt += rel_gt
-        pos_cand += rel_cand
-    return _kappa_from_counts(len(common), both, pos_gt, pos_cand)
-
-
-def _kappa_from_counts(n: int, both: int, pos_gt: int, pos_cand: int) -> tuple[float, bool]:
-    """Kappa and its degenerate flag from n shared pairs: ``both`` labelled
-    alike, ``pos_gt`` and ``pos_cand`` relevant on each side."""
     p_o, pos_gt, pos_cand = both / n, pos_gt / n, pos_cand / n
     p_e = pos_gt * pos_cand + (1 - pos_gt) * (1 - pos_cand)
     if p_e == 1.0:
@@ -252,8 +244,9 @@ def full_report(
     Undefined rates stay None and are additionally named in ``flags`` so
     a flat CSV row can still signal them.
     """
+    *_, (gt_grades, cand_grades), shared = _union_judgments(gt_qrels, cand_qrels)
     return _report(gt_ss, cand_ss, means_gt, means_cand,
-                   _kappa_with_flag(gt_qrels, cand_qrels, kappa_threshold))
+                   _kappa(gt_grades, cand_grades, shared, kappa_threshold))
 
 
 def _report(

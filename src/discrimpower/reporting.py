@@ -1,11 +1,12 @@
 """End-to-end comparison pipelines and flat CSV/JSON report rows.
 
-The pipeline here ties the pieces together: score both qrel sets over
-the same runs, test both matrices in one batched significance test, and
-assemble agreement metrics into one report row per candidate. Sweeps
-score every cell of a grid of sampling fractions and repetitions, then
-test the truth and every cell in one batch; the only parallelism is the
-significance test's own split of its iterations.
+``compare_qrels`` and ``run_sweep`` share one pipeline, ``_compare``: it
+indexes the qrels in one ``measures._GradeIndex``, scores the truth and
+every candidate grade vector on it, tests all the matrices in one batch,
+and builds one agreement report per candidate. A comparison's candidate
+is a second qrels set; a sweep's are the cells of a grid of sampling
+fractions and repetitions. The only parallelism is the significance
+test's own split of its iterations.
 
 All exports are plain deterministic text so that identical inputs and
 seeds give byte-identical files.
@@ -17,15 +18,14 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .measures import MeasureSpec, ScoreMatrix, _GradeIndex, mean_scores, score_matrix
-from .metrics import DiscrimReport, _kappa_from_counts, _report, full_report
+from .measures import MeasureSpec, ScoreMatrix, _GradeIndex, mean_scores
+from .metrics import DiscrimReport, _kappa, _report
 from .significance import SignificanceSet, SigTestConfig, _tukey_many
-from .synth import SamplingConfig, _sample_grades
 from .trec import Qrels, RunSet, _csv_table, _true_false
 
 SWEEP_METRICS = ("kappa", "tau", "delta_sens", "p1", "r1", "p2", "r2", "bac", "mcc")
@@ -97,33 +97,48 @@ def compare_qrels(
     """Score, test, and compare one candidate qrel set against the truth.
 
     Both qrel sets must judge the same topics; otherwise the two score
-    matrices would not be comparable column for column.
+    matrices would not be comparable column for column. They may judge
+    different documents there: each scores 0 gain for a document it did
+    not judge, and kappa counts the documents both judged.
     """
-    gt_matrix = score_matrix(runs, gt_qrels, spec)
-    cand_matrix = score_matrix(runs, cand_qrels, spec)
-    if gt_matrix.topic_ids != cand_matrix.topic_ids:
-        only_gt = sorted(set(gt_matrix.topic_ids) - set(cand_matrix.topic_ids))
-        only_cand = sorted(set(cand_matrix.topic_ids) - set(gt_matrix.topic_ids))
+    gt_topics, cand_topics = set(gt_qrels.topics()), set(cand_qrels.topics())
+    if gt_topics != cand_topics:
         raise ValidationError(
-            "topic sets differ between qrels: "
-            f"only in ground truth {only_gt[:5]}, only in candidate {only_cand[:5]}"
-        )
-    gt_ss, cand_ss = _tukey_many([gt_matrix, cand_matrix], sig_cfg)
+            "topic sets differ between qrels: only in ground truth "
+            f"{sorted(gt_topics - cand_topics)[:5]}, only in candidate "
+            f"{sorted(cand_topics - gt_topics)[:5]}")
+    (comparison,) = _compare(runs, (gt_qrels, cand_qrels), lambda index: index.grades[1:],
+                             spec, sig_cfg, kappa_threshold)
+    return comparison
+
+
+def _compare(
+    runs: RunSet,
+    qrels_sets: tuple[Qrels, ...],
+    candidates: Callable[[_GradeIndex], Iterable[np.ndarray]],
+    spec: MeasureSpec,
+    sig_cfg: SigTestConfig,
+    kappa_threshold: int,
+) -> list[Comparison]:
+    """Compare every candidate grade vector against the truth, ``qrels_sets[0]``.
+
+    ``candidates(index)`` yields grade vectors over the keys of the sets'
+    index. Each is scored, with kappa over the keys every set judged, in
+    turn; then one batched test covers the truth and every candidate.
+    """
+    index = _GradeIndex(runs, spec.k, *qrels_sets)
+    truth = index.grades[0]
+    gt_matrix = index.score(truth, spec.gain)
+    scored = [(index.score(grades, spec.gain),
+               _kappa(truth, grades, index.shared, kappa_threshold))
+              for grades in candidates(index)]
+    del index, truth  # holding them through the test would raise its peak memory
+
+    gt_ss, *cand_sets = _tukey_many([gt_matrix, *(matrix for matrix, _ in scored)], sig_cfg)
     means_gt = mean_scores(gt_matrix)
-    means_cand = mean_scores(cand_matrix)
-    report = full_report(
-        gt_ss, cand_ss, gt_qrels, cand_qrels, means_gt, means_cand,
-        kappa_threshold=kappa_threshold,
-    )
-    return Comparison(
-        gt_matrix=gt_matrix,
-        cand_matrix=cand_matrix,
-        means_gt=means_gt,
-        means_cand=means_cand,
-        gt_ss=gt_ss,
-        cand_ss=cand_ss,
-        report=report,
-    )
+    return [Comparison(gt_matrix, matrix, means_gt, means := mean_scores(matrix), gt_ss, cand_ss,
+                       _report(gt_ss, cand_ss, means_gt, means, kappa))
+            for (matrix, kappa), cand_ss in zip(scored, cand_sets)]
 
 
 def _error_class(sig_gt: bool, sig_cand: bool) -> str:
@@ -252,36 +267,19 @@ def run_sweep(
     repeated = [f for i, f in enumerate(fractions) if f in fractions[:i]]
     if repeated:  # its cells would repeat another fraction's, seed for seed
         raise ConfigurationError(f"sampling fraction {repeated[0]!r} is listed twice")
+    from .synth import SamplingConfig, _sample_grades  # compare never loads the sampler
+
     sig_cfg = dataclasses.replace(sig_cfg, n_workers=n_workers)
-    index = _GradeIndex(runs, gt_qrels, spec.k)
-    truth = index.grades
-    gt_matrix = index.score(truth, spec.gain)
-    relevant_gt = truth >= kappa_threshold
-    n_gt = int(np.count_nonzero(relevant_gt))
-
-    cells = []  # (fraction, repetition, score matrix, (kappa, degenerate))
-    for fraction in fractions:
-        sampling = SamplingConfig(
-            fraction=fraction,
-            repetitions=repetitions,
-            master_seed=master_seed,
-            relevant_threshold=relevant_threshold,
-            stratified=stratified,
-        )
-        for rep in range(repetitions):
-            grades = _sample_grades(truth, index.bounds, sampling, rep)
-            relevant = grades >= kappa_threshold
-            kappa = _kappa_from_counts(len(truth), int(np.count_nonzero(relevant == relevant_gt)),
-                                       n_gt, int(np.count_nonzero(relevant)))
-            cells.append((fraction, rep, index.score(grades, spec.gain), kappa))
-
-    gt_ss, *cand_sets = _tukey_many([gt_matrix, *(cell[2] for cell in cells)], sig_cfg)
-    means_gt = mean_scores(gt_matrix)
+    cells = [(SamplingConfig(fraction=fraction, repetitions=repetitions, master_seed=master_seed,
+                             relevant_threshold=relevant_threshold, stratified=stratified), rep)
+             for fraction in fractions for rep in range(repetitions)]
+    comparisons = _compare(runs, (gt_qrels,), lambda index: (
+        _sample_grades(index.grades[0], index.bounds, sampling, rep) for sampling, rep in cells
+    ), spec, sig_cfg, kappa_threshold)
     rows = []
-    for (fraction, rep, cand_matrix, kappa), cand_ss in zip(cells, cand_sets):
-        report = _report(gt_ss, cand_ss, means_gt, mean_scores(cand_matrix), kappa)
-        full = report_row(report, dataset="", qrels_name="")
-        rows.append({"fraction": fraction, "repetition": rep,
+    for (sampling, rep), comparison in zip(cells, comparisons):
+        full = report_row(comparison.report, dataset="", qrels_name="")
+        rows.append({"fraction": sampling.fraction, "repetition": rep,
                      **{col: full[col] for col in SWEEP_COLUMNS[2:]}})
 
     return SweepResult(

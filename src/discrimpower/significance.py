@@ -268,11 +268,6 @@ def _significance_set(sm: ScoreMatrix, values: np.ndarray, null: np.ndarray, add
     return SignificanceSet(alpha=cfg.alpha, p_values=p_values, significant=significant)
 
 
-def significance_partition(ss: SignificanceSet) -> tuple[set, set]:
-    """Split all pairs into (significant, non-significant)."""
-    return set(ss.S), set(ss.NS)
-
-
 def significance_to_csv(ss: SignificanceSet) -> str:
     columns = (("system_a", str), ("system_b", str), ("p_value", repr),
                ("significant", _true_false))

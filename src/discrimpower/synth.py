@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigurationError
-from .measures import _sorted_judgments
+from .measures import _union_judgments
 from .trec import CANDIDATE, Qrels, RunSet
 
 PER_TOPIC = "per_topic"
@@ -67,19 +67,19 @@ def percentage_sample(gt: Qrels, cfg: SamplingConfig, repetition_index: int = 0)
         raise ConfigurationError(
             f"repetition_index {repetition_index} outside [0, {cfg.repetitions})"
         )
-    topics, docs, grades, bounds = _sorted_judgments(gt)
-    sampled = _sample_grades(grades, bounds, cfg, repetition_index)
-    keys = ((topic, doc) for topic, topic_docs in zip(topics, docs) for doc in topic_docs)
-    return Qrels(judgments=dict(zip(keys, sampled.tolist())), role=CANDIDATE)
+    keys, _, bounds, grades, _ = _union_judgments(gt)
+    sampled = _sample_grades(grades[0], bounds, cfg, repetition_index)
+    return Qrels(judgments=dict(zip(keys, sampled[:-1].tolist())), role=CANDIDATE)
 
 
 def _sample_grades(grades: np.ndarray, bounds: np.ndarray, cfg: SamplingConfig,
                    repetition_index: int) -> np.ndarray:
     """``percentage_sample`` on a grade vector in sorted (topic, doc) order.
 
-    Topic j owns ``grades[bounds[j]:bounds[j + 1]]``. The relevant
-    judgments are drawn from in sorted key order, so the kept set is the
-    one ``percentage_sample`` keeps.
+    Topic j owns ``grades[bounds[j]:bounds[j + 1]]``; a 0 past the last
+    topic is copied as it is. The relevant judgments are drawn from in
+    sorted key order, so the kept set is the one ``percentage_sample``
+    keeps.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence(cfg.master_seed, spawn_key=(repetition_index,))

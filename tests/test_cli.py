@@ -248,6 +248,7 @@ ALL_INPUTS_MISSING = {
     "generate sample": ["--gt", MISSING],
     "generate popularity": ["--gt", MISSING, "--runs-dir", MISSING],
     "generate llm": ["--gt", MISSING, "--queries", MISSING, "--texts", MISSING],
+    "evaluate": ["--qrels", MISSING, "--runs-dir", MISSING],
 }
 
 
@@ -258,6 +259,10 @@ ALL_INPUTS_MISSING = {
     ("compare", ["--seed", "-1"], None, "master_seed must be a non-negative integer"),
     ("compare", [], b"permutations=abc\n", "opts.cfg: invalid value for permutations: 'abc'"),
     ("sweep", ["--repetitions", "0"], None, "repetitions must be >= 1"),
+    ("compare", ["--max-grade", "-1"], None, "max_grade must be >= 0, got -1"),
+    ("evaluate", ["--max-grade", "-1"], None, "max_grade must be >= 0, got -1"),
+    ("evaluate", [], b"max_grade=-1\n",
+     "opts.cfg: invalid value for max_grade: max_grade must be >= 0, got -1"),
     ("generate sample", ["--fraction", "1.5"], None, "fraction must be in [0, 1], got 1.5"),
     ("generate popularity", ["--p-mode", "explicit"], None,
      "explicit mode needs explicit_p in [0, 1]"),
@@ -268,7 +273,9 @@ ALL_INPUTS_MISSING = {
      "max_retries must be >= 1"),
 ], ids=["compare-alpha-1.5", "compare-permutations-0", "compare-workers-0",
         "compare-seed-negative", "compare-config-permutations-abc", "sweep-repetitions-0",
-        "sample-fraction-1.5", "popularity-explicit-without-p", "llm-without-endpoint",
+        "compare-max-grade-negative", "evaluate-max-grade-negative",
+        "evaluate-config-max-grade-negative", "sample-fraction-1.5",
+        "popularity-explicit-without-p", "llm-without-endpoint",
         "llm-timeout-0", "llm-config-retries-0"])
 def test_option_errors_come_before_any_input(tmp_path, capsys, monkeypatch,
                                              command, flags, config, named):
@@ -599,7 +606,7 @@ def _resolved(command, *flags):
 
 
 SAMPLE_TEXT = {int: "7", float: "0.25", str: "x.txt", Path: "elsewhere",
-               cli._parse_fractions: "0.2,0.4"}
+               cli._parse_fractions: "0.2,0.4", cli._max_grade: "7"}
 
 
 @pytest.mark.parametrize("command, option", [

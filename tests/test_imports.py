@@ -80,9 +80,26 @@ def test_single_worker_test_loads_no_process_pool(tmp_path):
     assert proc.stdout == "[]\n"
 
 
+def test_compare_loads_no_sampler(tmp_path, mini_files):
+    # Only sweep samples, so compare loads neither synth nor the fractions
+    # and decimal modules that synth imports.
+    code = (
+        "import json, sys\n"
+        "from discrimpower import cli\n"
+        "code = cli.main(['compare', '--gt', sys.argv[1], '--cand', sys.argv[1],\n"
+        "                 '--runs-dir', sys.argv[2], '--permutations', '50',\n"
+        "                 '--out-dir', sys.argv[3]])\n"
+        "print(json.dumps([code, sorted({'discrimpower.synth', 'fractions', 'decimal'}\n"
+        "                               & set(sys.modules))]))\n"
+    )
+    proc = _child(code, *mini_files, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+
+
 def test_public_names_are_their_defining_modules_objects():
     names = [n for n in discrimpower.__all__ if n != "__version__"]
-    assert len(discrimpower.__all__) == 63 and len(set(names)) == 62
+    assert len(discrimpower.__all__) == 62 and len(set(names)) == 61
     for name in names:
         home = importlib.import_module(f"discrimpower.{discrimpower._MODULE_OF[name]}")
         value = getattr(discrimpower, name)

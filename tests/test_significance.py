@@ -14,7 +14,6 @@ from discrimpower.significance import (
     EXHAUSTIVE,
     SignificanceSet,
     SigTestConfig,
-    significance_partition,
     significance_to_csv,
     tukey_hsd_pvalues,
     _sampled_null,
@@ -321,8 +320,6 @@ def test_alpha_and_partition():
     ss = SignificanceSet(alpha=0.05, p_values={("a", "b"): 0.01, ("a", "c"): 0.5})
     assert ss.S == frozenset({("a", "b")})
     assert ss.NS == frozenset({("a", "c")})
-    sig, nonsig = significance_partition(ss)
-    assert sig == {("a", "b")} and nonsig == {("a", "c")}
 
 
 def test_alpha_inclusive_boundary():

@@ -1,9 +1,12 @@
-"""Sweep cells as grade vectors, checked against the per-cell ``Qrels`` path.
+"""Sweep cells and compare candidates on the grade index, checked against
+dict-based references.
 
 ``run_sweep`` samples, scores and computes kappa for every cell on one
-grade vector over the truth's judgments. The references below are the
-dict-based loops that ``percentage_sample``, ``score_matrix`` and
-``_kappa_with_flag`` ran before, so every cell must equal them bit for bit.
+grade vector over the truth's judgments. ``compare_qrels`` indexes the
+truth and the candidate together, over the union of their judged keys.
+The references below are plain loops over ``Qrels`` dicts: the per-cell
+sample, ``ndcg_at_k`` topic by topic, and kappa over the keys both sets
+judged. Every result must equal them bit for bit.
 """
 
 import math
@@ -15,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discrimpower import reporting
-from discrimpower.errors import ConfigurationError
+from discrimpower.errors import ConfigurationError, ValidationError
 from discrimpower.measures import EXPONENTIAL, LINEAR, MeasureSpec, ndcg_at_k, score_matrix
+from discrimpower.metrics import cohen_kappa, full_report
 from discrimpower.significance import SigTestConfig
 from discrimpower.synth import SamplingConfig, percentage_sample
 from discrimpower.trec import CANDIDATE, Qrels, Ranking, RunSet
@@ -152,6 +156,61 @@ def test_sweep_cells_equal_the_per_cell_qrels_path(
             assert {type(grade) for grade in sampled.judgments.values()} <= {int}
             scored = score_matrix(runs, sampled, spec)
             assert scored.values.tobytes() == reference_scores(runs, cand, spec).tobytes()
+
+
+@st.composite
+def mixed_candidates(draw, truth):
+    """A candidate on the truth's topics that drops some of the truth's
+    judgments and judges documents the truth did not, grades -1 to 3."""
+    judgments = {}
+    for topic in truth.topics():
+        judged = sorted(doc for t, doc in truth.judgments if t == topic)
+        kept = draw(st.lists(st.sampled_from(judged), max_size=len(judged), unique=True))
+        extra = draw(st.lists(st.sampled_from([doc for doc in POOL if doc not in judged]),
+                              min_size=0 if kept else 1, max_size=8, unique=True))
+        grades = draw(st.lists(st.integers(-1, 3), min_size=len(kept) + len(extra),
+                               max_size=len(kept) + len(extra)))
+        judgments.update(((topic, doc), grade) for doc, grade in zip(kept + extra, grades))
+    return Qrels(judgments=judgments, role=CANDIDATE)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(collection=collections(), data=st.data(),
+       gain=st.sampled_from([LINEAR, EXPONENTIAL]),
+       k=st.sampled_from([1, 5, 20]),
+       kappa_threshold=st.integers(1, 3))
+def test_compare_candidates_that_judge_other_keys_equal_the_dict_path(
+        collection, data, gain, k, kappa_threshold):
+    runs, truth = collection
+    cand = data.draw(mixed_candidates(truth))
+    spec = MeasureSpec(k=k, gain=gain)
+
+    def compare(candidate):
+        return reporting.compare_qrels(runs, truth, candidate, spec=spec, sig_cfg=QUICK,
+                                       kappa_threshold=kappa_threshold)
+
+    first = truth.topics()[0]
+    for other_topics in (
+        Qrels({key: g for key, g in cand.judgments.items() if key[0] != first}, CANDIDATE),
+        Qrels({**cand.judgments, ("q9", POOL[0]): 1}, CANDIDATE),
+    ):
+        with pytest.raises(ValidationError, match="topic sets differ"):
+            compare(other_topics)
+    if not truth.judgments.keys() & cand.judgments.keys():
+        with pytest.raises(ValidationError, match="no shared judged"):
+            compare(cand)
+        return
+
+    cmp = compare(cand)
+    assert cmp.gt_matrix.values.tobytes() == reference_scores(runs, truth, spec).tobytes()
+    assert cmp.cand_matrix.values.tobytes() == reference_scores(runs, cand, spec).tobytes()
+    kappa, degenerate = reference_kappa(truth, cand, kappa_threshold)
+    assert (cmp.report.kappa, "kappa_degenerate" in cmp.report.flags) == (kappa, degenerate)
+    assert type(cmp.report.kappa) is float
+    assert cohen_kappa(truth, cand, kappa_threshold) == kappa
+    report = full_report(cmp.gt_ss, cmp.cand_ss, truth, cand, cmp.means_gt, cmp.means_cand,
+                         kappa_threshold=kappa_threshold)
+    assert report.kappa == kappa
 
 
 def test_sweep_builds_no_qrels_per_cell(mini, monkeypatch):
