@@ -27,11 +27,19 @@ class _StubState:
         self.replies = {}
         self.default_reply = "0"
         self.fail_status = 500
-        # (status, headers) answered, in order, before any reply above
+        # answered, in order, before any reply above: (status, headers),
+        # (status, headers, body), or ("drop", seconds) to close the
+        # connection without a reply after that many seconds
         self.refusals = []
+        self.paths = []  # the path of every request, whatever its method
 
 
 class _StubHandler(BaseHTTPRequestHandler):
+    def do_GET(self):
+        with self.server.state.lock:
+            self.server.state.paths.append(self.path)
+        self.send_error(405)
+
     def do_POST(self):
         import time
 
@@ -43,13 +51,19 @@ class _StubHandler(BaseHTTPRequestHandler):
             state.timestamps.append(time.monotonic())
             state.bodies.append(body)
             state.auth.append(self.headers.get("Authorization"))
+            state.paths.append(self.path)
             refusal = state.refusals.pop(0) if state.refusals else None
         if refusal is not None:
-            status, headers = refusal
+            if refusal[0] == "drop":
+                # Event.wait, not time.sleep, which tests may replace
+                threading.Event().wait(refusal[1])
+                return
+            status, headers, payload = (*refusal, b"")[:3]
             self.send_response(status)
             for name, value in headers.items():
                 self.send_header(name, value)
             self.end_headers()
+            self.wfile.write(payload)
             return
         prompt = body["messages"][0]["content"]
         match = re.search(r"DOC:(\S+)", prompt)

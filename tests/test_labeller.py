@@ -262,6 +262,56 @@ def test_four_xx_fails_fast(stub_server):
     assert state.requests == 1  # client error: retrying cannot help
 
 
+def test_a_rejection_names_the_status_and_the_first_200_characters(stub_server):
+    url, state = stub_server
+    body = "".join(f"{i:03d}" for i in range(100))  # 300 characters, no slice repeats
+    state.refusals.append((400, {}, body.encode()))
+    with pytest.raises(TransportError) as exc_info:
+        label_pair("q", "text DOC:d00", cfg_for(url, max_retries=3))
+    assert str(exc_info.value) == f"request rejected: 400 {body[:200]}"
+    assert state.requests == 1
+
+
+def test_an_undecodable_rejection_body_is_replaced_not_raised(stub_server):
+    url, state = stub_server
+    headers = {"Content-Type": "text/plain; charset=utf-8"}
+    state.refusals.append((403, headers, b"caf\xe9 denied"))
+    with pytest.raises(TransportError) as exc_info:
+        label_pair("q", "text DOC:d00", cfg_for(url, max_retries=3))
+    assert str(exc_info.value) == "request rejected: 403 caf\ufffd denied"
+    assert state.requests == 1
+
+
+def test_a_success_status_other_than_200_is_rejected(stub_server):
+    url, state = stub_server
+    state.refusals.append((201, {}, b"created"))
+    with pytest.raises(TransportError, match="^request rejected: 201 created$"):
+        label_pair("q", "text DOC:d00", cfg_for(url, max_retries=3))
+    assert state.requests == 1
+
+
+@pytest.mark.parametrize("refusal, timeout", [
+    (("drop", 0), 60),
+    ((500, {"Content-Length": "100"}, b"cut short"), 60),
+    (("drop", 5), 1),
+], ids=["dropped-without-reply", "five-hundred-body-cut-short", "slower-than-timeout"])
+def test_a_broken_exchange_is_retried(stub_server, monkeypatch, refusal, timeout):
+    url, state = stub_server
+    monkeypatch.setattr("discrimpower.labeller.time.sleep", lambda seconds: None)
+    state.refusals.append(refusal)
+    state.replies["d00"] = "2"
+    result = label_pair("q", "text DOC:d00", cfg_for(url, max_retries=2, timeout=timeout))
+    assert (result.grade, state.requests) == (2, 2)
+
+
+def test_an_api_key_that_cannot_be_a_header_is_a_transport_error(stub_server, monkeypatch):
+    url, state = stub_server
+    monkeypatch.setenv("LLM_API_KEY", "sk-one\nsk-two")
+    with pytest.raises(TransportError):
+        label_pair("q", "text DOC:d00", cfg_for(url))
+    assert state.requests == 0
+
+
 def test_rate_limited_request_is_retried(stub_server):
     url, state = stub_server
     state.refusals.append((429, {"Retry-After": "0"}))
