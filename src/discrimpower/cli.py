@@ -200,7 +200,10 @@ def _load_config(path) -> dict[str, str]:
             if "=" not in stripped:
                 raise ConfigurationError(f"{path}: line {line_no}: expected key=value")
             key, _, value = stripped.partition("=")
-            config[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key in config:
+                raise ConfigurationError(f"{path}: line {line_no}: {key} is given twice")
+            config[key] = value.strip()
     return config
 
 
@@ -400,7 +403,7 @@ def cmd_generate_llm(opts: dict) -> int:
     for key in ("endpoint", "model", "queries", "texts"):
         if opts[key] is None:
             raise ConfigurationError(f"--{key} is required for llm generation")
-    from . import labeller  # the rest of the tool works without requests
+    from . import labeller  # only this command loads the HTTP client
 
     cfg = labeller.LabellerConfig(
         endpoint=opts["endpoint"],

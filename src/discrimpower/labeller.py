@@ -10,18 +10,19 @@ re-running a labelling job only pays for pairs it has not seen.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
 import os
 import re
 import threading
 import time
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
-
-import requests
+from urllib.parse import urlsplit
 
 from .errors import ConfigurationError, DiscrimPowerError
 from .trec import CANDIDATE, Qrels, write_atomic
@@ -82,6 +83,15 @@ class LabellerConfig:
     api_key_env: str = "LLM_API_KEY"
 
     def __post_init__(self):
+        try:  # urlsplit and .port raise ValueError for a malformed host or port
+            parts = urlsplit(self.endpoint)
+            bad_endpoint = parts.scheme not in ("http", "https") or not parts.hostname
+            parts.port
+        except ValueError:
+            bad_endpoint = True
+        if bad_endpoint:
+            raise ConfigurationError(
+                f"endpoint must look like http(s)://host[:port]/path, got {self.endpoint!r}")
         for slot in ("{query}", "{document}"):
             if slot not in self.prompt_template:
                 raise ConfigurationError(f"prompt template is missing the {slot} slot")
@@ -152,45 +162,62 @@ def _cache_path(cfg: LabellerConfig, prompt: str) -> Optional[Path]:
     return Path(cfg.cache_dir) / f"{digest}.json"
 
 
+# A 3xx is the reply: urllib would re-send a 301-303 POST as a GET, API key and all.
+class _NoRedirects(urllib.request.HTTPRedirectHandler):
+    def redirect_request(self, *args):
+        return None
+
+
+_OPENER = urllib.request.build_opener(_NoRedirects)
+
+
 def _post_completion(cfg: LabellerConfig, prompt: str) -> str:
     """POST the prompt; return the reply text. Retries 5xx, 429 and connection errors."""
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(cfg.api_key_env)
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
-    body = {
+    body = json.dumps({
         "model": cfg.model,
         "messages": [{"role": "user", "content": prompt}],
         "temperature": 0,
-    }
+    }).encode()
     last_error: Exception | None = None
     for attempt in range(cfg.max_retries):
         if attempt > 0:
             time.sleep(min(wait, 8))
         wait = 2 ** attempt  # before the next attempt, unless a 429 names the seconds
-        try:
-            resp = requests.post(
-                cfg.endpoint, json=body, headers=headers, timeout=cfg.timeout
-            )
-        except requests.RequestException as exc:
+        request = urllib.request.Request(cfg.endpoint, body, headers)  # a proxy rewrites it
+        try:  # a body cut short or a timeout while reading is a failed attempt too
+            try:
+                resp = _OPENER.open(request, timeout=cfg.timeout)
+            except urllib.request.HTTPError as reply:  # any status outside 2xx
+                resp = reply
+            with resp:
+                status, reply_headers, raw = resp.status, resp.headers, resp.read()
+        except (OSError, http.client.HTTPException) as exc:
             last_error = exc
             continue
-        if resp.status_code == 429:  # an HTTP-date Retry-After keeps the back-off
-            value = resp.headers.get("Retry-After", "").strip()
+        except ValueError:  # http.client refused the URL or a header; do not echo the key
+            raise TransportError(f"request not sent: the endpoint or ${cfg.api_key_env} "
+                                 "holds a character HTTP forbids") from None
+        text = raw.decode("utf-8", errors="replace")
+        if status == 429:  # an HTTP-date Retry-After keeps the back-off
+            value = reply_headers.get("Retry-After", "").strip()
             wait = int(value) if value.isascii() and value.isdigit() else wait
             last_error = TransportError("rate limited: 429")
             continue
-        if resp.status_code >= 500:
-            last_error = TransportError(f"server error {resp.status_code}")
+        if status >= 500:
+            last_error = TransportError(f"server error {status}")
             continue
-        if resp.status_code != 200:
-            raise TransportError(f"request rejected: {resp.status_code} {resp.text[:200]}")
+        if status != 200:  # a 3xx is not followed: name where it pointed instead
+            location = reply_headers["Location"]
+            detail = f"redirect to {location}" if 300 <= status < 400 else text[:200]
+            raise TransportError(f"request rejected: {status} {detail}")
         try:
-            return resp.json()["choices"][0]["message"]["content"]
+            return json.loads(raw)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError):
-            raise ResponseParseError(
-                "malformed completion response", raw_response=resp.text[:1000]
-            )
+            raise ResponseParseError("malformed completion response", raw_response=text[:1000])
     raise TransportError(f"gave up after {cfg.max_retries} attempts: {last_error}")
 
 

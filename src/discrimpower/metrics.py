@@ -118,7 +118,7 @@ def sensitivity(ss: SignificanceSet) -> Optional[float]:
     total = len(ss.significant)
     if total == 0:
         return None
-    return len(ss.S) / total
+    return sum(ss.significant.values()) / total
 
 
 def delta_sensitivity(gt: SignificanceSet, cand: SignificanceSet) -> Optional[float]:

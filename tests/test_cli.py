@@ -204,6 +204,7 @@ SWEEP = ["sweep", "--runs-dir", "{runs_dir}", "--gt", "{gt}"]
     (EVALUATE, b"precision=4\n", "opts.cfg: unknown option precision"),
     (COMPARE + ["--precision", "4"], b"precision=ful\n",
      "opts.cfg: invalid value for precision: 'ful'"),
+    (EVALUATE, b"k=5\nk=7\n", "opts.cfg: line 2: k is given twice"),
 ], ids=["config-bad-value", "config-unknown-key", "config-not-utf8",
         "qrels-is-a-directory", "qrels-not-utf8", "config-value-not-a-choice",
         "k-0", "k-0-before-missing-runs", "depth-0-before-missing-runs", "alpha-1.5",
@@ -212,7 +213,8 @@ SWEEP = ["sweep", "--runs-dir", "{runs_dir}", "--gt", "{gt}"]
         "sample-max-grade-negative", "explicit-mode-without-p", "plot-pairs-given-qrels",
         "sweep-fraction-twice", "config-fraction-twice", "sample-fraction-twice",
         "config-key-config", "config-key-cand", "config-key-gt", "config-key-qrels",
-        "config-key-precision-on-evaluate", "config-value-checked-under-a-flag"])
+        "config-key-precision-on-evaluate", "config-value-checked-under-a-flag",
+        "config-key-twice"])
 def test_bad_input_gives_one_error_line(workspace, tmp_path, args, config, named):
     latin1 = tmp_path / "latin1.qrels"
     latin1.write_bytes(b"q1 0 caf\xe9 1\n")
@@ -242,6 +244,8 @@ def test_a_fraction_listed_twice_exits_1_before_loading(workspace, tmp_path, cap
 
 
 MISSING = "{missing}"
+BAD_ENDPOINTS = {"not-a-url": "notaurl", "ftp": "ftp://x/", "file": "file:///etc/hostname",
+                 "no-host": "http:///nohost", "port-not-a-number": "http://h:abc/"}
 ALL_INPUTS_MISSING = {
     "compare": ["--gt", MISSING, "--cand", MISSING, "--runs-dir", MISSING],
     "sweep": ["--gt", MISSING, "--runs-dir", MISSING],
@@ -271,12 +275,18 @@ ALL_INPUTS_MISSING = {
      None, "timeout must be > 0 seconds, got 0.0"),
     ("generate llm", ["--model", "m", "--endpoint", "http://127.0.0.1:1/"], b"retries=0\n",
      "max_retries must be >= 1"),
+    *[("generate llm", ["--model", "m", "--endpoint", endpoint], None,
+       f"endpoint must look like http(s)://host[:port]/path, got {endpoint!r}")
+      for endpoint in BAD_ENDPOINTS.values()],
+    ("evaluate", [], b"out-dir=a\n\nout_dir=b\n", "opts.cfg: line 3: out_dir is given twice"),
 ], ids=["compare-alpha-1.5", "compare-permutations-0", "compare-workers-0",
         "compare-seed-negative", "compare-config-permutations-abc", "sweep-repetitions-0",
         "compare-max-grade-negative", "evaluate-max-grade-negative",
         "evaluate-config-max-grade-negative", "sample-fraction-1.5",
         "popularity-explicit-without-p", "llm-without-endpoint",
-        "llm-timeout-0", "llm-config-retries-0"])
+        "llm-timeout-0", "llm-config-retries-0",
+        *[f"llm-endpoint-{name}" for name in BAD_ENDPOINTS],
+        "config-key-twice-after-normalising"])
 def test_option_errors_come_before_any_input(tmp_path, capsys, monkeypatch,
                                              command, flags, config, named):
     # Every input path is missing, so reading any of them would exit 2.

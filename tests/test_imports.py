@@ -6,10 +6,12 @@ import from creeping back into ``discrimpower/__init__.py`` or the top of
 ``cli.py``, where it would cost every invocation, ``--help`` included.
 """
 
+import ast
 import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +22,7 @@ import discrimpower
 from discrimpower.cli import OPTIONS
 
 SRC = str(Path(discrimpower.__file__).resolve().parent.parent)
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 HEAVY = ("numpy", "multiprocessing", "concurrent.futures.process", "discrimpower.measures")
 
 
@@ -178,3 +181,29 @@ def test_importing_the_cli_leaves_the_environment_alone(tmp_path):
     proc = _child(code, cwd=tmp_path, unset=BLAS_VARS)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "True\n"
+
+
+def _imported_packages():
+    """The top-level package of every absolute import in the package's modules."""
+    found = set()
+    for path in Path(discrimpower.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.partition(".")[0])
+    return found
+
+
+def test_every_import_is_stdlib_or_a_declared_dependency():
+    try:
+        import tomllib
+    except ImportError:  # Python 3.10
+        tomllib = pytest.importorskip("tomli")
+    with PYPROJECT.open("rb") as fh:
+        requirements = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[\w.-]+", req).group().lower().replace("-", "_")
+                for req in requirements}
+    # Both ways: nothing imported goes undeclared, nothing declared goes unused.
+    third_party = _imported_packages() - set(sys.stdlib_module_names) - {"discrimpower"}
+    assert third_party == declared

@@ -81,6 +81,10 @@ def test_config_validation():
         LabellerConfig(endpoint="http://x", model="m", timeout=-1)
     with pytest.raises(ConfigurationError, match="max_retries must be >= 1"):
         LabellerConfig(endpoint="http://x", model="m", max_retries=0)
+    for endpoint in ("notaurl", "ftp://x/", "file:///etc/hostname", "http:///nohost",
+                     "http://h:abc/"):
+        with pytest.raises(ConfigurationError, match=f"got {endpoint!r}$"):
+            LabellerConfig(endpoint=endpoint, model="m")
 
 
 def test_default_prompt_has_both_slots():
@@ -312,6 +316,28 @@ def test_an_api_key_that_cannot_be_a_header_is_a_transport_error(stub_server, mo
     assert state.requests == 0
 
 
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_a_redirect_is_not_followed(stub_server, status):
+    # Following one would re-send the request, as a GET for 301-303, and
+    # the API key with it, to wherever Location points.
+    url, state = stub_server
+    state.refusals.append((status, {"Location": "/elsewhere"}))
+    with pytest.raises(TransportError, match=f"^request rejected: {status} redirect to /elsewhere$"):
+        label_pair("q", "text DOC:d00", cfg_for(url, max_retries=3))
+    assert state.paths == ["/v1/chat/completions"]
+
+
+@pytest.mark.parametrize("key", ["sk-secret\nmore", "sk-secret\u20ac"],
+                         ids=["newline", "not-latin-1"])
+def test_a_refused_api_key_is_not_echoed(stub_server, monkeypatch, key):
+    url, state = stub_server
+    monkeypatch.setenv("LLM_API_KEY", key)
+    with pytest.raises(TransportError, match=r"^request not sent: .* \$LLM_API_KEY ") as exc_info:
+        label_pair("q", "text DOC:d00", cfg_for(url, max_retries=3))
+    assert "sk-secret" not in str(exc_info.value)
+    assert state.requests == 0
+
+
 def test_rate_limited_request_is_retried(stub_server):
     url, state = stub_server
     state.refusals.append((429, {"Retry-After": "0"}))
@@ -434,7 +460,13 @@ def test_core_import_does_not_pull_http_stack():
     code = (
         "import sys; import discrimpower; "
         "assert 'discrimpower.labeller' not in sys.modules; "
-        "assert 'requests' not in sys.modules; "
+        "assert 'http.client' not in sys.modules; "
+        "assert 'urllib.request' not in sys.modules; "
         "assert 'numpy' not in sys.modules"
     )
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_labeller_imports_without_requests():
+    code = "import sys; sys.modules['requests'] = None; import discrimpower.labeller"
     subprocess.run([sys.executable, "-c", code], check=True)
