@@ -103,4 +103,5 @@ def stub_server():
         yield url, server.state
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)

@@ -322,7 +322,8 @@ def test_a_redirect_is_not_followed(stub_server, status):
     # the API key with it, to wherever Location points.
     url, state = stub_server
     state.refusals.append((status, {"Location": "/elsewhere"}))
-    with pytest.raises(TransportError, match=f"^request rejected: {status} redirect to /elsewhere$"):
+    message = f"^request rejected: {status} redirect to /elsewhere$"
+    with pytest.raises(TransportError, match=message):
         label_pair("q", "text DOC:d00", cfg_for(url, max_retries=3))
     assert state.paths == ["/v1/chat/completions"]
 
