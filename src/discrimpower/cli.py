@@ -33,9 +33,10 @@ from .errors import ConfigurationError, DiscrimPowerError
 from .trec import (
     CANDIDATE,
     GROUND_TRUTH,
+    _load_qrels,
+    _load_runs,
+    _load_runs_dir,
     load_qrels,
-    load_runs,
-    load_runs_dir,
     serialize_qrels,
     write_atomic,
 )
@@ -259,18 +260,22 @@ def _write_text(path: Path, text: str):
     print(f"wrote {path}")
 
 
-def _load_runset(opts: dict, depth: int):
-    # Called before any other input is read, so a bad pair of run options
-    # is reported before any file is opened. Each command keeps the ranking
-    # prefix it scores: k, or --depth.
+def _load_inputs(opts: dict, depth: int, *qrels: tuple[str, str]) -> tuple:
+    """The run set, then the qrels file of each ``(option, role)``.
+
+    A bad pair of run options is reported before any file is opened. Each
+    command keeps the ranking prefix it scores: k, or --depth. The loads
+    share one string per id through a pool that ends with this call.
+    """
     runs_dir, run_list = opts["runs_dir"], opts["run"]
     if runs_dir and run_list:
         raise ConfigurationError("give either --runs-dir or --run, not both")
-    if runs_dir:
-        return load_runs_dir(runs_dir, opts["tag_from_filename"], depth)
-    if run_list:
-        return load_runs(run_list, opts["tag_from_filename"], depth)
-    raise ConfigurationError("no runs given: use --runs-dir or --run")
+    if not runs_dir and not run_list:
+        raise ConfigurationError("no runs given: use --runs-dir or --run")
+    ids: dict[str, str] = {}
+    load = _load_runs_dir if runs_dir else _load_runs
+    return (load(runs_dir or run_list, opts["tag_from_filename"], depth, ids),
+            *(_load_qrels(opts[key], opts["max_grade"], role, ids) for key, role in qrels))
 
 
 def _measure_spec(opts: dict):
@@ -309,14 +314,12 @@ def _sampling_configs(opts: dict, fractions) -> list:
 def cmd_compare(opts: dict) -> int:
     spec = _measure_spec(opts)
     sig_cfg = _sig_config(opts)
-    runs = _load_runset(opts, spec.k)
-    gt = load_qrels(opts["gt"], opts["max_grade"], GROUND_TRUTH)
-    cand = load_qrels(opts["cand"], opts["max_grade"], CANDIDATE)
+    runs, gt, cand = _load_inputs(opts, spec.k, ("gt", GROUND_TRUTH), ("cand", CANDIDATE))
     from . import reporting
 
-    cmp = reporting.compare_qrels(
-        runs, gt, cand, spec=spec, sig_cfg=sig_cfg, kappa_threshold=opts["kappa_threshold"],
-    )
+    scores = reporting._comparison_scores(runs, gt, cand, spec, opts["kappa_threshold"])
+    del runs, gt, cand  # the test runs without the inputs
+    (cmp,) = reporting._tested(*scores, sig_cfg)
     dataset = Path(opts["gt"]).stem if opts["dataset"] is None else opts["dataset"]
     name = Path(opts["cand"]).stem if opts["name"] is None else opts["name"]
     row = reporting.report_row(cmp.report, dataset, name)
@@ -335,24 +338,13 @@ def cmd_compare(opts: dict) -> int:
 def cmd_sweep(opts: dict) -> int:
     spec = _measure_spec(opts)
     sig_cfg = _sig_config(opts)
-    _sampling_configs(opts, opts["fractions"])  # checks each cell's settings up front
-    runs = _load_runset(opts, spec.k)
-    gt = load_qrels(opts["gt"], opts["max_grade"], GROUND_TRUTH)
+    configs = _sampling_configs(opts, opts["fractions"])  # checks each cell's settings up front
+    runs, gt = _load_inputs(opts, spec.k, ("gt", GROUND_TRUTH))
     from . import reporting
 
-    result = reporting.run_sweep(
-        runs,
-        gt,
-        fractions=opts["fractions"],
-        repetitions=opts["repetitions"],
-        master_seed=opts["seed"],
-        spec=spec,
-        sig_cfg=sig_cfg,
-        kappa_threshold=opts["kappa_threshold"],
-        relevant_threshold=opts["relevant_threshold"],
-        stratified=opts["stratified"],
-        n_workers=sig_cfg.n_workers,
-    )
+    scores = reporting._sweep_scores(runs, gt, configs, spec, opts["kappa_threshold"])
+    del runs, gt  # the test runs without the inputs
+    result = reporting._swept(configs, reporting._tested(*scores, sig_cfg))
     precision, out_dir = opts["precision"], opts["out_dir"]
     _write_text(out_dir / "sweep.csv", reporting.sweep_to_csv(result, precision))
     _write_text(
@@ -391,8 +383,7 @@ def cmd_generate_popularity(opts: dict) -> int:
         explicit_p=opts["explicit_p"],
         relevant_threshold=opts["relevant_threshold"],
     )
-    runs = _load_runset(opts, cfg.depth)
-    gt = load_qrels(opts["gt"], opts["max_grade"], GROUND_TRUTH)
+    runs, gt = _load_inputs(opts, cfg.depth, ("gt", GROUND_TRUTH))
     labelled = popularity_biased(gt, runs, cfg)
     param = f"{cfg.explicit_p:g}" if cfg.p_mode == EXPLICIT else cfg.p_mode
     _write_text(opts["out_dir"] / f"popularity_{param}_0.qrels", serialize_qrels(labelled))
@@ -453,8 +444,7 @@ def cmd_plot(opts: dict) -> int:
 
 def cmd_evaluate(opts: dict) -> int:
     spec = _measure_spec(opts)
-    runs = _load_runset(opts, spec.k)
-    qrels = load_qrels(opts["qrels"], opts["max_grade"], GROUND_TRUTH)
+    runs, qrels = _load_inputs(opts, spec.k, ("qrels", GROUND_TRUTH))
     from .measures import score_matrix
 
     csv_text = score_matrix(runs, qrels, spec).to_csv()

@@ -301,7 +301,7 @@ def label_qrels(
                 log.info("labelled %d/%d pairs", done, len(futures))
 
     if failures and not skip_failures:
-        raise LabellingError(failures)
+        raise LabellingError(sorted(failures, key=lambda failure: failure[:2]))
     results.sort(key=lambda r: (r.topic_id, r.doc_id))
     judgments = {(r.topic_id, r.doc_id): r.grade for r in results}
     return Qrels(judgments=judgments, role=CANDIDATE), results

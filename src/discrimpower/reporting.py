@@ -1,12 +1,12 @@
 """End-to-end comparison pipelines and flat CSV/JSON report rows.
 
-``compare_qrels`` and ``run_sweep`` share one pipeline, ``_compare``: it
-indexes the qrels in one ``measures._GradeIndex``, scores the truth and
-every candidate grade vector on it, tests all the matrices in one batch,
-and builds one agreement report per candidate. A comparison's candidate
-is a second qrels set; a sweep's are the cells of a grid of sampling
-fractions and repetitions. The only parallelism is the significance
-test's own split of its iterations.
+``compare_qrels`` and ``run_sweep`` share one pipeline. ``_scores``
+scores the truth and every candidate grade vector on one
+``measures._GradeIndex`` of the qrels; then ``_tested`` tests all the
+matrices in one batch and builds one agreement report per candidate. The
+CLI drops the runs and qrels in between. A comparison's candidate is a
+second qrels set; a sweep's are the cells of a grid of sampling fractions
+and repetitions. The only parallelism is the test's split of its work.
 
 All exports are plain deterministic text so that identical inputs and
 seeds give byte-identical files.
@@ -101,39 +101,40 @@ def compare_qrels(
     different documents there: each scores 0 gain for a document it did
     not judge, and kappa counts the documents both judged.
     """
+    (comparison,) = _tested(*_comparison_scores(runs, gt_qrels, cand_qrels, spec,
+                                                kappa_threshold), sig_cfg)
+    return comparison
+
+
+def _comparison_scores(runs: RunSet, gt_qrels: Qrels, cand_qrels: Qrels, spec: MeasureSpec,
+                       kappa_threshold: int) -> tuple:
+    """``_scores`` of a comparison, whose two sets must judge the same topics."""
     gt_topics, cand_topics = set(gt_qrels.topics()), set(cand_qrels.topics())
     if gt_topics != cand_topics:
         raise ValidationError(
             "topic sets differ between qrels: only in ground truth "
             f"{sorted(gt_topics - cand_topics)[:5]}, only in candidate "
             f"{sorted(cand_topics - gt_topics)[:5]}")
-    (comparison,) = _compare(runs, (gt_qrels, cand_qrels), lambda index: index.grades[1:],
-                             spec, sig_cfg, kappa_threshold)
-    return comparison
+    return _scores(_GradeIndex(runs, spec.k, gt_qrels, cand_qrels), lambda index: index.grades[1:],
+                   spec, kappa_threshold)
 
 
-def _compare(
-    runs: RunSet,
-    qrels_sets: tuple[Qrels, ...],
-    candidates: Callable[[_GradeIndex], Iterable[np.ndarray]],
-    spec: MeasureSpec,
-    sig_cfg: SigTestConfig,
-    kappa_threshold: int,
-) -> list[Comparison]:
-    """Compare every candidate grade vector against the truth, ``qrels_sets[0]``.
+def _scores(index: _GradeIndex, candidates: Callable[[_GradeIndex], Iterable[np.ndarray]],
+            spec: MeasureSpec, kappa_threshold: int) -> tuple[ScoreMatrix, list]:
+    """The truth's score matrix, and every candidate's with its kappa against the truth.
 
-    ``candidates(index)`` yields grade vectors over the keys of the sets'
-    index. Each is scored, with kappa over the keys every set judged, in
-    turn; then one batched test covers the truth and every candidate.
+    The truth is ``index.grades[0]``; ``candidates(index)`` yields grade
+    vectors over its keys, and kappa counts the keys every set judged. Pass
+    a new index: it then ends with the call, before the test.
     """
-    index = _GradeIndex(runs, spec.k, *qrels_sets)
     truth = index.grades[0]
-    gt_matrix = index.score(truth, spec.gain)
-    scored = [(index.score(grades, spec.gain),
-               _kappa(truth, grades, index.shared, kappa_threshold))
-              for grades in candidates(index)]
-    del index, truth  # holding them through the test would raise its peak memory
+    return index.score(truth, spec.gain), [
+        (index.score(grades, spec.gain), _kappa(truth, grades, index.shared, kappa_threshold))
+        for grades in candidates(index)]
 
+
+def _tested(gt_matrix: ScoreMatrix, scored: list, sig_cfg: SigTestConfig) -> list[Comparison]:
+    """Test the truth's and every candidate's matrix in one batch; report on each candidate."""
     gt_ss, *cand_sets = _tukey_many([gt_matrix, *(matrix for matrix, _ in scored)], sig_cfg)
     means_gt = mean_scores(gt_matrix)
     return [Comparison(gt_matrix, matrix, means_gt, means := mean_scores(matrix), gt_ss, cand_ss,
@@ -267,27 +268,36 @@ def run_sweep(
     repeated = [f for i, f in enumerate(fractions) if f in fractions[:i]]
     if repeated:  # its cells would repeat another fraction's, seed for seed
         raise ConfigurationError(f"sampling fraction {repeated[0]!r} is listed twice")
-    from .synth import SamplingConfig, _sample_grades  # compare never loads the sampler
+    from .synth import SamplingConfig  # compare never loads the sampler
 
-    sig_cfg = dataclasses.replace(sig_cfg, n_workers=n_workers)
-    cells = [(SamplingConfig(fraction=fraction, repetitions=repetitions, master_seed=master_seed,
-                             relevant_threshold=relevant_threshold, stratified=stratified), rep)
-             for fraction in fractions for rep in range(repetitions)]
-    comparisons = _compare(runs, (gt_qrels,), lambda index: (
-        _sample_grades(index.grades[0], index.bounds, sampling, rep) for sampling, rep in cells
-    ), spec, sig_cfg, kappa_threshold)
-    rows = []
-    for (sampling, rep), comparison in zip(cells, comparisons):
-        full = report_row(comparison.report, dataset="", qrels_name="")
-        rows.append({"fraction": sampling.fraction, "repetition": rep,
-                     **{col: full[col] for col in SWEEP_COLUMNS[2:]}})
+    configs = [SamplingConfig(fraction=fraction, repetitions=repetitions, master_seed=master_seed,
+                              relevant_threshold=relevant_threshold, stratified=stratified)
+               for fraction in fractions]
+    scores = _sweep_scores(runs, gt_qrels, configs, spec, kappa_threshold)
+    return _swept(configs, _tested(*scores, dataclasses.replace(sig_cfg, n_workers=n_workers)))
 
-    return SweepResult(
-        fractions=list(fractions),
-        repetitions=repetitions,
-        rows=rows,
-        summary=summarize_rows(rows, list(fractions)),
-    )
+
+def _sweep_scores(runs: RunSet, gt_qrels: Qrels, configs: list, spec: MeasureSpec,
+                  kappa_threshold: int) -> tuple:
+    """``_scores`` of every cell of the fractions' ``SamplingConfig`` list, in order."""
+    from .synth import _sample_grades
+
+    return _scores(_GradeIndex(runs, spec.k, gt_qrels), lambda index: (
+        _sample_grades(index.grades[0], index.bounds, sampling, rep)
+        for sampling in configs for rep in range(sampling.repetitions)
+    ), spec, kappa_threshold)
+
+
+def _swept(configs: list, comparisons: list[Comparison]) -> SweepResult:
+    rows, comparisons = [], iter(comparisons)
+    for sampling in configs:
+        for rep in range(sampling.repetitions):
+            full = report_row(next(comparisons).report, dataset="", qrels_name="")
+            rows.append({"fraction": sampling.fraction, "repetition": rep,
+                         **{col: full[col] for col in SWEEP_COLUMNS[2:]}})
+    fractions = [sampling.fraction for sampling in configs]
+    return SweepResult(fractions=fractions, repetitions=configs[0].repetitions, rows=rows,
+                       summary=summarize_rows(rows, fractions))
 
 
 def sweep_to_csv(sr: SweepResult, precision: str = "4") -> str:

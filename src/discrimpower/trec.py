@@ -10,10 +10,12 @@ A :class:`Ranking` keeps its scores as one packed ``array('d')``, eight
 bytes per run line, rather than a Python ``float`` object per line. The
 ``load_runs*`` functions take a ``depth``: every line is still read and
 checked, but each topic keeps only its first ``depth`` documents after
-sorting. Run files loaded together share one ``str`` per distinct kept
-document id. That saves memory when ids repeat across systems and
-topics, and costs one dict lookup per kept document, plus a pool entry
-per id, when they do not.
+sorting. The files one command loads share one ``str`` per distinct
+topic id and kept document id, and ``compare`` and ``sweep`` drop them
+once scored, before the test; a library call shares the strings across
+the files it loads. That saves memory when ids repeat across files,
+systems and topics, and costs a dict lookup per id, plus a pool entry
+per distinct id, when they do not.
 The ``load_*`` functions name the file in every error they raise for its
 contents, and the line of the first byte that is not UTF-8.
 """
@@ -132,9 +134,9 @@ def parse_run(source, system_tag_override: str | None = None) -> RunSet:
 
 def _parse_run(source, system_tag_override: str | None, ids: dict[str, str],
                depth: int | None) -> RunSet:
-    # ``ids`` maps each kept doc id to the one string kept for it across a
-    # load. Every line is checked; only the first ``depth`` of each sorted
-    # topic are kept.
+    # ``ids`` maps each topic and kept doc id to the one string kept for it
+    # across a load. Every line is checked; only the first ``depth`` of each
+    # sorted topic are kept.
     tag_seen: str | None = None
     topics: dict[str, dict[str, float]] = {}
     topic_seen: str | None = None
@@ -179,7 +181,8 @@ def _parse_run(source, system_tag_override: str | None, ids: dict[str, str],
     for topic, docs in topics.items():
         # Sorting (score, doc_id) pairs descending breaks ties on doc_id.
         scores, doc_ids = zip(*sorted(zip(docs.values(), docs.keys()), reverse=True)[:depth])
-        rankings[topic] = Ranking(map(ids.setdefault, doc_ids, doc_ids), scores)
+        rankings[ids.setdefault(topic, topic)] = Ranking(map(ids.setdefault, doc_ids, doc_ids),
+                                                         scores)
     return RunSet({tag_seen: rankings})
 
 
@@ -191,6 +194,11 @@ def parse_qrels(source, max_grade: int = 3, role: str = GROUND_TRUTH) -> Qrels:
     are rejected, and a negative ``max_grade`` is a
     :class:`ConfigurationError`.
     """
+    return _parse_qrels(source, max_grade, role, {})
+
+
+def _parse_qrels(source, max_grade: int, role: str, ids: dict[str, str]) -> Qrels:
+    # ``ids`` maps each topic and doc id to the one string kept for it in a load.
     if max_grade < 0:
         raise ConfigurationError(f"max_grade must be >= 0, got {max_grade}")
     judgments: dict[tuple[str, str], int] = {}
@@ -206,7 +214,7 @@ def parse_qrels(source, max_grade: int = 3, role: str = GROUND_TRUTH) -> Qrels:
             grade = int(grade_s)
         except ValueError:
             raise ParseError(line_no, f"grade is not an integer: {grade_s!r}") from None
-        key = (topic, doc_id)
+        key = (ids.setdefault(topic, topic), ids.setdefault(doc_id, doc_id))
         if key in judgments:
             raise ValidationError(
                 f"duplicate judgment for topic {topic!r}, document {doc_id!r}"
@@ -346,11 +354,15 @@ def load_runs(paths, tag_from_filename: bool = False, depth: int | None = None) 
     With ``depth``, each topic keeps only its first ``depth`` documents
     after sorting; every line is still read and checked.
     """
+    return _load_runs(paths, tag_from_filename, depth, {})
+
+
+def _load_runs(paths, tag_from_filename: bool, depth: int | None,
+               ids: dict[str, str]) -> RunSet:
     _check_depth(depth)
     paths = [Path(p) for p in paths]
     if not paths:
         raise ValidationError("no run files given")
-    ids: dict[str, str] = {}
     return merge_runs(_load_run(p, p.stem if tag_from_filename else None, ids, depth)
                       for p in paths)
 
@@ -358,18 +370,27 @@ def load_runs(paths, tag_from_filename: bool = False, depth: int | None = None) 
 def load_runs_dir(directory, tag_from_filename: bool = False,
                   depth: int | None = None) -> RunSet:
     """Load every regular file in ``directory`` as one run each."""
+    return _load_runs_dir(directory, tag_from_filename, depth, {})
+
+
+def _load_runs_dir(directory, tag_from_filename: bool, depth: int | None,
+                   ids: dict[str, str]) -> RunSet:
     _check_depth(depth)
     directory = Path(directory)
     paths = sorted(p for p in directory.iterdir() if p.is_file())
     if not paths:
         raise ValidationError(f"no run files in {directory}")
-    return load_runs(paths, tag_from_filename, depth)
+    return _load_runs(paths, tag_from_filename, depth, ids)
 
 
 def load_qrels(path, max_grade: int = 3, role: str = GROUND_TRUTH) -> Qrels:
     """Load one qrels file; errors name the file."""
+    return _load_qrels(path, max_grade, role, {})
+
+
+def _load_qrels(path, max_grade: int, role: str, ids: dict[str, str]) -> Qrels:
     with _naming(path), open(path, encoding="utf-8") as fh:
-        return parse_qrels(fh, max_grade=max_grade, role=role)
+        return _parse_qrels(fh, max_grade, role, ids)
 
 
 def write_atomic(path, text: str) -> None:

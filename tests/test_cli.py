@@ -2,9 +2,11 @@ import csv
 import importlib.metadata
 import os
 import pkgutil
+import random
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ from discrimpower import cli
 from discrimpower.cli import _load_config, main
 from discrimpower.errors import ConfigurationError
 from discrimpower.minicollection import write_mini_collection
-from discrimpower.trec import load_qrels
+from discrimpower.trec import Qrels, RunSet, load_qrels, save_qrels
 
 
 @pytest.fixture(scope="module")
@@ -597,15 +599,112 @@ def test_commands_load_runs_to_the_depth_they_score(workspace, tmp_path, monkeyp
                                                     args, depth):
     depths = []
 
-    def spy(directory, tag_from_filename=False, depth=None):
+    def spy(directory, tag_from_filename, depth, ids):
         depths.append(depth)
-        return real(directory, tag_from_filename, depth)
+        return real(directory, tag_from_filename, depth, ids)
 
-    real = cli.load_runs_dir
-    monkeypatch.setattr(cli, "load_runs_dir", spy)
+    real = cli._load_runs_dir
+    monkeypatch.setattr(cli, "_load_runs_dir", spy)
     args = [arg.format(**workspace) for arg in args]
     assert main([*args, "--runs-dir", workspace["runs_dir"], "--out-dir", str(tmp_path)]) == 0
     assert depths == [depth]
+
+
+@pytest.fixture(scope="module")
+def candidate(workspace):
+    """A 30% sample of the truth, as a candidate qrels file."""
+    from discrimpower.synth import SamplingConfig, percentage_sample
+
+    path = workspace["root"] / "cand.qrels"
+    save_qrels(percentage_sample(load_qrels(workspace["gt"]), SamplingConfig(0.3), 0), path)
+    return str(path)
+
+
+INDEXED = {
+    "evaluate": ["evaluate", "--qrels", "{gt}"],
+    "compare": ["compare", "--gt", "{gt}", "--cand", "{cand}", "--permutations", "500"],
+    "sweep": ["sweep", "--gt", "{gt}", "--fractions", "0.3,0.6", "--repetitions", "2",
+              "--permutations", "200"],
+}
+
+
+@pytest.mark.parametrize("command", INDEXED)
+def test_a_command_holds_one_string_per_id(workspace, candidate, tmp_path, monkeypatch,
+                                           command):
+    # Every file a command loads draws on one pool, so each topic id and doc id
+    # is one object across the runs, the truth and the candidate.
+    from discrimpower.measures import _GradeIndex
+
+    indexed = []
+    init = _GradeIndex.__init__
+
+    def spy(self, runs, k, *qrels_sets):
+        indexed.append((runs, qrels_sets))
+        init(self, runs, k, *qrels_sets)
+
+    monkeypatch.setattr(_GradeIndex, "__init__", spy)
+    args = [arg.format(cand=candidate, **workspace) for arg in INDEXED[command]]
+    assert main([*args, "--runs-dir", workspace["runs_dir"], "--out-dir", str(tmp_path)]) == 0
+    ((runs, qrels_sets),) = indexed
+    assert len(qrels_sets) == (2 if command == "compare" else 1)
+    ids = [i for qrels in qrels_sets for key in qrels.judgments for i in key]
+    ids += [i for per_topic in runs.runs.values()
+            for topic, ranking in per_topic.items() for i in (topic, *ranking.doc_ids)]
+    assert len({id(i) for i in ids}) == len(set(ids))
+
+
+@pytest.mark.parametrize("command", ["compare", "sweep"])
+def test_the_test_runs_without_the_inputs(workspace, candidate, tmp_path, monkeypatch,
+                                          command):
+    from discrimpower import reporting
+    from discrimpower.measures import _GradeIndex
+
+    loaded = []
+    for cls in (RunSet, Qrels, _GradeIndex):
+        def spy(self, *args, _init=cls.__init__, **kwargs):
+            loaded.append(weakref.ref(self))
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    tested = []
+
+    def test(*args, _real=reporting._tukey_many):
+        tested.append(sorted(type(ref()).__name__ for ref in loaded if ref() is not None))
+        return _real(*args)
+
+    monkeypatch.setattr(reporting, "_tukey_many", test)
+    args = [arg.format(cand=candidate, **workspace) for arg in INDEXED[command]]
+    assert main([*args, "--runs-dir", workspace["runs_dir"], "--out-dir", str(tmp_path)]) == 0
+    assert len(loaded) > 3 and tested == [[]]
+
+
+def _shuffled(path, dest, rng):
+    lines = Path(path).read_text().splitlines(keepends=True)
+    rng.shuffle(lines)
+    dest.parent.mkdir(parents=True, exist_ok=True)
+    dest.write_text("".join(lines))
+    return str(dest)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_outputs_do_not_depend_on_the_order_of_the_inputs(workspace, candidate, tmp_path,
+                                                          seed):
+    rng = random.Random(seed)
+    files = {"gt": workspace["gt"], "cand": candidate}
+    reordered = {key: _shuffled(path, tmp_path / "in" / Path(path).name, rng)
+                 for key, path in files.items()}
+    runs = workspace["runs"]
+    reversed_runs = [_shuffled(path, tmp_path / "in" / "runs" / Path(path).name, rng)
+                     for path in reversed(runs)]
+    for command, args in INDEXED.items():
+        outputs = []
+        for inputs, run_paths, out in ((files, runs, "a"), (reordered, reversed_runs, "b")):
+            out_dir = tmp_path / out / command
+            flags = [flag for path in run_paths for flag in ("--run", path)]
+            argv = [arg.format(**inputs) for arg in args]
+            assert main([*argv, *flags, "--out-dir", str(out_dir)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
+        assert outputs[0] == outputs[1] and outputs[0], command
 
 
 def _resolved(command, *flags):

@@ -240,6 +240,19 @@ def test_server_error_fails_job_listing_pair(stub_server):
     assert len(exc_info.value.failures) == 1
 
 
+def test_failed_pairs_are_listed_in_key_order(stub_server):
+    # Futures complete in no fixed order; the error lists the pairs sorted.
+    url, state = stub_server
+    state.default_reply, state.fail_status = None, 400
+    pairs = [("t1", f"d{i}", "query", f"text DOC:d{i}") for i in range(8, 0, -1)]
+    for _ in range(3):
+        with pytest.raises(LabellingError) as exc_info:
+            label_qrels(pairs, cfg_for(url, concurrency=4))
+        assert str(exc_info.value) == (
+            "8 pair(s) failed: (t1, d1), (t1, d2), (t1, d3), (t1, d4), (t1, d5) and 3 more")
+        assert [pair[:2] for pair in exc_info.value.failures] == sorted(pair[:2] for pair in pairs)
+
+
 def test_skip_failures_drops_bad_pair(stub_server):
     url, state = stub_server
     pairs = make_pairs(3)

@@ -269,6 +269,34 @@ def test_runs_loaded_together_share_doc_id_strings(tmp_path):
         assert all(first.setdefault(doc, doc) is doc for doc in docs)
 
 
+def test_parsed_qrels_hold_one_string_per_topic(tmp_path):
+    # No doc id repeats across topics, so only the topic strings can be
+    # shared; a new topic string per judgment retains about 50 bytes more.
+    text = "".join(f"{topic} 0 d{topic}{doc:04d} {doc % 3}\n"
+                   for topic in range(401, 451) for doc in range(200))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        qrels = parse_qrels(text)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(qrels.judgments) == 50 * 200
+    assert len({id(topic) for topic, _ in qrels.judgments}) == 50
+    assert retained / (50 * 200) < 150, retained / (50 * 200)
+    path = tmp_path / "gt.qrels"
+    path.write_text(text)
+    assert len({id(topic) for topic, _ in load_qrels(path).judgments}) == 50
+
+
+def test_runs_share_topic_strings(tmp_path):
+    _, run_paths = write_mini_collection(tmp_path, n_systems=4, n_topics=3, n_docs=40,
+                                         run_depth=30)
+    runset = load_runs(run_paths)
+    topics = [topic for per_topic in runset.runs.values() for topic in per_topic]
+    assert len(topics) == 4 * 3 and len({id(topic) for topic in topics}) == 3
+
+
 def test_parse_run_alone_is_unchanged(tmp_path):
     expected = RunSet({"sysA": {
         "q1": Ranking(("d3", "d2", "d1"), (9.5, 7.25, 7.25)),
