@@ -31,8 +31,8 @@ def main():
         mark = "*" if ss.significant[(a, b)] else " "
         print(f"  {a} vs {b}: p={p:.4f} {mark}")
 
-    print(f"\nsignificant pairs:     {sorted(ss.S)}")
-    print(f"non-significant pairs: {sorted(ss.NS)}")
+    print(f"\nsignificant pairs:     {sorted(p for p, sig in ss.significant.items() if sig)}")
+    print(f"non-significant pairs: {sorted(p for p, sig in ss.significant.items() if not sig)}")
 
     # Rerunning with the same seed is bit-identical; a different seed
     # moves sampled p-values slightly but not the conclusions.

@@ -8,26 +8,29 @@ the permuted per-system means is recorded. A pair's p-value is the
 fraction of iterations whose HSD* reaches its observed absolute mean
 difference.
 
-Determinism contract: iterations are grouped in blocks of ``_BLOCK`` =
-1024, and the permutations of topic ``t`` for every iteration in block
-``k`` come from one counter-based stream keyed on ``(master_seed, k, t)``.
-Workers split the run on block boundaries only, so p-values are
-bit-identical for a fixed seed regardless of execution order or worker
-count. A short last block draws only the rows it uses; numpy's
-``Generator.permuted`` shuffles rows in order, so these are the first
-rows of the full block, and the first ``B'`` iterations of a run with
-``B > B'`` iterations are the run with ``B'``. Sampled p-values for a
-given seed differ from version 0.1.0, which keyed one stream on each
-(seed, iteration, topic).
+Both modes run one kernel over blocks of ``_BLOCK`` = 1024 iterations.
+Sampled mode draws topic ``t``'s permutations for every iteration of
+block ``k`` from one counter-based stream keyed on ``(master_seed, k,
+t)``; exhaustive mode takes block ``k``'s slice of the (m!)^n
+within-topic assignments in ``itertools.product`` order. Workers split
+the run on block boundaries only, so p-values are bit-identical for a
+fixed seed regardless of execution order or worker count. A short last
+block draws only the rows it uses; numpy's ``Generator.permuted``
+shuffles rows in order, so these are the first rows of the full block,
+and the first ``B'`` iterations of a run with ``B > B'`` iterations are
+the run with ``B'``. Sampled p-values for a given seed differ from
+version 0.1.0, which keyed one stream on each (seed, iteration, topic).
 
-Matrices of one shape tested in one call share each stream's draw, and
-each still gets exactly the null it gets when tested alone.
+Matrices of one shape tested in one call share each block's permutations,
+and each still gets exactly the null it gets when tested alone.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -40,8 +43,7 @@ from .trec import _csv_table, _true_false
 SAMPLED = "sampled"
 EXHAUSTIVE = "exhaustive"
 
-_CHUNK = 65536  # assignments vectorised per block in exhaustive mode
-_BLOCK = 1024  # sampled iterations per (block, topic) stream
+_BLOCK = 1024  # iterations per block, the unit of both the draws and the worker split
 _ACC_CELLS = 1 << 19  # float64 cells (4 MiB) of one chunk's gather accumulator
 
 
@@ -93,14 +95,6 @@ class SignificanceSet:
     def pairs(self) -> list[tuple[str, str]]:
         return sorted(self.p_values)
 
-    @property
-    def S(self) -> frozenset[tuple[str, str]]:
-        return frozenset(p for p, sig in self.significant.items() if sig)
-
-    @property
-    def NS(self) -> frozenset[tuple[str, str]]:
-        return frozenset(p for p, sig in self.significant.items() if not sig)
-
 
 def _pair_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
@@ -113,26 +107,37 @@ def _block_stream(master_seed: int, block: int, topic: int) -> np.random.Generat
     return np.random.Generator(np.random.Philox(key=master_seed, counter=counter))
 
 
-def _null_blocks(stack: np.ndarray, master_seed: int, first: int, last: int,
-                 permutations: int) -> np.ndarray:
-    """HSD* of each (m, n) matrix in ``stack`` for the iterations of blocks
-    [first, last), capped at ``permutations``: one row per matrix.
+def _sampled_draw(master_seed: int, m: int, block: int, topic: int, size: int) -> np.ndarray:
+    """The first ``size`` rows of the (block, topic) stream's permutations of m slots."""
+    identity = np.broadcast_to(np.arange(m), (size, m))
+    return _block_stream(master_seed, block, topic).permuted(identity, axis=1)
 
-    Every matrix of a chunk gathers from one draw of each (block, topic)
-    stream. A chunk holds as many matrices as keep its accumulator within
-    ``_ACC_CELLS`` cells, so a stack of several chunks draws each stream
-    once per chunk.
+
+def _exhaustive_draw(rows: np.ndarray, n: int, block: int, topic: int, size: int) -> np.ndarray:
+    """Topic ``topic``'s row of ``rows`` per iteration, in ``itertools.product`` order."""
+    i = np.arange(block * _BLOCK, block * _BLOCK + size)
+    return rows[i // len(rows) ** (n - 1 - topic) % len(rows)]
+
+
+def _null_blocks(stack: np.ndarray, draw, first: int, last: int, total: int) -> np.ndarray:
+    """HSD* of each (m, n) matrix in ``stack`` for the iterations of blocks
+    [first, last), capped at ``total``: one row per matrix.
+
+    ``draw(block, topic, size)`` gives one topic's (size, m) permutations
+    for a block. Every matrix of a chunk gathers from one draw of each
+    (block, topic). A chunk holds as many matrices as keep its accumulator
+    within ``_ACC_CELLS`` cells, so a stack of several chunks draws each
+    (block, topic) once per chunk.
     """
     k, m, n = stack.shape
     columns = np.ascontiguousarray(stack.transpose(2, 0, 1))  # columns[t] is (k, m)
     chunk = max(1, _ACC_CELLS // (_BLOCK * m))
-    identity = np.broadcast_to(np.arange(m), (_BLOCK, m))
     start = first * _BLOCK
-    null = np.empty((k, min(last * _BLOCK, permutations) - start))
-    acc_cells = np.empty(min(chunk, k) * min(_BLOCK, permutations - start) * m)
+    null = np.empty((k, min(last * _BLOCK, total) - start))
+    acc_cells = np.empty(min(chunk, k) * min(_BLOCK, total - start) * m)
     col_cells = np.empty_like(acc_cells)
     for block in range(first, last):
-        size = min(_BLOCK, permutations - block * _BLOCK)
+        size = min(_BLOCK, total - block * _BLOCK)
         pos = block * _BLOCK - start
         for lo in range(0, k, chunk):
             hi = min(lo + chunk, k)
@@ -144,9 +149,8 @@ def _null_blocks(stack: np.ndarray, master_seed: int, first: int, last: int,
             # matrix lo + j. Every index is in range, and mode="clip" lets
             # np.take write to ``out`` without a buffer.
             for t in range(n):
-                perms = _block_stream(master_seed, block, t).permuted(identity[:size], axis=1)
-                np.take(columns[t, lo:hi], perms, axis=1, out=acc if t == 0 else col,
-                        mode="clip")
+                np.take(columns[t, lo:hi], draw(block, t, size), axis=1,
+                        out=acc if t == 0 else col, mode="clip")
                 if t:
                     acc += col
             acc /= n
@@ -154,56 +158,39 @@ def _null_blocks(stack: np.ndarray, master_seed: int, first: int, last: int,
     return null
 
 
-def _sampled_null(stack: np.ndarray, cfg: SigTestConfig) -> np.ndarray:
-    """The sampled null of each matrix in the (K, m, n) ``stack``, as (K, B)."""
-    n_blocks = -(-cfg.permutations // _BLOCK)
-    workers = min(cfg.n_workers, n_blocks)
+def _split_blocks(stack: np.ndarray, draw, total: int, n_workers: int) -> np.ndarray:
+    """``_null_blocks`` over ``total`` iterations, split between ``n_workers`` processes."""
+    n_blocks = -(-total // _BLOCK)
+    workers = min(n_workers, n_blocks)
     if workers == 1:
-        return _null_blocks(stack, cfg.master_seed, 0, n_blocks, cfg.permutations)
+        return _null_blocks(stack, draw, 0, n_blocks, total)
     from concurrent.futures import ProcessPoolExecutor  # one worker never loads multiprocessing
 
     bounds = [w * n_blocks // workers for w in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(
-            _null_blocks,
-            [stack] * workers,
-            [cfg.master_seed] * workers,
-            bounds[:-1],
-            bounds[1:],
-            [cfg.permutations] * workers,
-        )
+        parts = pool.map(_null_blocks, [stack] * workers, [draw] * workers, bounds[:-1],
+                         bounds[1:], [total] * workers)
         return np.concatenate(list(parts), axis=1)
 
 
-def _exhaustive_null(values: np.ndarray, cap: int) -> np.ndarray:
-    """HSD* for every one of the (m!)^n within-topic assignments."""
-    m, n = values.shape
-    fact = math.factorial(m)
-    total = fact ** n
-    if total > cap:
+def _sampled_null(stack: np.ndarray, cfg: SigTestConfig) -> np.ndarray:
+    """The sampled null of each matrix in the (K, m, n) ``stack``, as (K, B)."""
+    draw = functools.partial(_sampled_draw, cfg.master_seed, stack.shape[1])
+    return _split_blocks(stack, draw, cfg.permutations, cfg.n_workers)
+
+
+def _exhaustive_null(stack: np.ndarray, cfg: SigTestConfig) -> np.ndarray:
+    """The exact null of each matrix in the (K, m, n) ``stack``, as (K, (m!)^n)."""
+    _, m, n = stack.shape
+    total = math.factorial(m) ** n
+    if total > cfg.exhaustive_cap:
         raise ConfigurationError(
             f"exhaustive enumeration needs {total} assignments, above the cap "
-            f"of {cap}; use sampled mode"
+            f"of {cfg.exhaustive_cap}; use sampled mode"
         )
-    perm_rows = np.array(list(itertools.permutations(range(m))), dtype=np.intp)
-    # col_perms[t][k] is topic t's column under the k-th permutation.
-    col_perms = [values[perm_rows, t] for t in range(n)]
-    null = np.empty(total)
-    combos = itertools.product(range(fact), repeat=n)
-    pos = 0
-    while True:
-        chunk = list(itertools.islice(combos, _CHUNK))
-        if not chunk:
-            break
-        ci = np.asarray(chunk, dtype=np.intp)
-        # Accumulate in topic order to match sequential_row_means exactly.
-        acc = col_perms[0][ci[:, 0]].copy()
-        for t in range(1, n):
-            acc += col_perms[t][ci[:, t]]
-        means = acc / n
-        null[pos:pos + len(chunk)] = means.max(axis=1) - means.min(axis=1)
-        pos += len(chunk)
-    return null
+    rows = np.array(list(itertools.permutations(range(m))), dtype=np.intp)
+    return _split_blocks(stack, functools.partial(_exhaustive_draw, rows, n), total,
+                         cfg.n_workers)
 
 
 def tukey_hsd_pvalues(sm: ScoreMatrix, cfg: SigTestConfig = SigTestConfig()) -> SignificanceSet:
@@ -220,9 +207,9 @@ def tukey_hsd_pvalues(sm: ScoreMatrix, cfg: SigTestConfig = SigTestConfig()) -> 
 def _tukey_many(matrices: Sequence[ScoreMatrix], cfg: SigTestConfig) -> list[SignificanceSet]:
     """``tukey_hsd_pvalues`` of every matrix, in order.
 
-    In sampled mode the matrices of one shape are tested together, so each
-    (block, topic) permutation is drawn once for all of them. Each matrix's
-    null, and so its p-values, is the one it gets when tested alone.
+    The matrices of one shape are tested together, so each (block, topic)
+    permutation is drawn once for all of them. Each matrix's null, and so
+    its p-values, is the one it gets when tested alone.
     """
     values = [np.asarray(sm.values, dtype=float) for sm in matrices]
     for v in values:
@@ -232,19 +219,15 @@ def _tukey_many(matrices: Sequence[ScoreMatrix], cfg: SigTestConfig) -> list[Sig
         if n < 1:
             raise ConfigurationError("significance testing needs at least one topic")
 
-    if cfg.mode == EXHAUSTIVE:
-        nulls = [_exhaustive_null(v, cfg.exhaustive_cap) for v in values]
-        add = 0
-    else:
-        by_shape: dict[tuple[int, int], list[int]] = {}
-        for i, v in enumerate(values):
-            by_shape.setdefault(v.shape, []).append(i)
-        nulls = [None] * len(values)
-        for members in by_shape.values():
-            stacked = _sampled_null(np.stack([values[i] for i in members]), cfg)
-            for i, null in zip(members, stacked):
-                nulls[i] = null
-        add = 1
+    null_of = _exhaustive_null if cfg.mode == EXHAUSTIVE else _sampled_null
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for i, v in enumerate(values):
+        by_shape.setdefault(v.shape, []).append(i)
+    nulls = [None] * len(values)
+    for members in by_shape.values():
+        for i, null in zip(members, null_of(np.stack([values[i] for i in members]), cfg)):
+            nulls[i] = null
+    add = int(cfg.mode == SAMPLED)
     return [_significance_set(sm, v, null, add, cfg)
             for sm, v, null in zip(matrices, values, nulls)]
 
@@ -261,10 +244,8 @@ def _significance_set(sm: ScoreMatrix, values: np.ndarray, null: np.ndarray, add
     p_values = {_pair_key(tags[i], tags[j]): (count + add) / denom
                 for i, j, count in zip(first.tolist(), second.tolist(), counts.tolist())}
 
-    if cfg.alpha_inclusive:
-        significant = {p: v <= cfg.alpha for p, v in p_values.items()}
-    else:
-        significant = {p: v < cfg.alpha for p, v in p_values.items()}
+    below = operator.le if cfg.alpha_inclusive else operator.lt
+    significant = {p: below(v, cfg.alpha) for p, v in p_values.items()}
     return SignificanceSet(alpha=cfg.alpha, p_values=p_values, significant=significant)
 
 

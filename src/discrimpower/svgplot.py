@@ -13,6 +13,7 @@ SVG. Two chart types:
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 from .errors import ValidationError
@@ -47,15 +48,24 @@ def _require_columns(rows: Sequence[dict], needed: Sequence[str], what: str):
         )
 
 
-def _num(value) -> Optional[float]:
-    if value is None:
-        return None
-    if isinstance(value, (int, float)):
-        return float(value)
-    text = str(value).strip()
-    if text in ("", "undefined"):
-        return None
-    return float(text)
+def _column(rows: Sequence[dict], column: str, optional: bool = False) -> list[Optional[float]]:
+    """One column's cells as floats. With ``optional`` a blank or
+    ``undefined`` cell reads None; any other cell must be a finite number."""
+    values = []
+    for row_number, row in enumerate(rows, 1):
+        cell = row[column]
+        if optional and (cell is None or str(cell).strip() in ("", "undefined")):
+            values.append(None)
+            continue
+        try:
+            value = float(cell)
+        except (TypeError, ValueError):
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValidationError(f"column {column}, data row {row_number}: "
+                                  f"{cell!r} is not a number")
+        values.append(value)
+    return values
 
 
 def _fmt(v: float) -> str:
@@ -130,10 +140,11 @@ def render_scatter(rows: Sequence[dict]) -> str:
     FN pairs by dashed blue lines.
     """
     _require_columns(rows, SCATTER_COLUMNS, "scatter")
+    gt_a, gt_b, cand_a, cand_b = (_column(rows, c) for c in SCATTER_COLUMNS[2:6])
     points: dict[str, tuple[float, float]] = {}
-    for row in rows:
-        points[row["system_a"]] = (_num(row["mean_gt_a"]), _num(row["mean_cand_a"]))
-        points[row["system_b"]] = (_num(row["mean_gt_b"]), _num(row["mean_cand_b"]))
+    for row, xa, xb, ya, yb in zip(rows, gt_a, gt_b, cand_a, cand_b):
+        points[row["system_a"]] = (xa, ya)
+        points[row["system_b"]] = (xb, yb)
 
     cv = _Canvas(0.0, 1.0, 0.0, 1.0)
     ticks = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
@@ -187,14 +198,13 @@ def render_scatter(rows: Sequence[dict]) -> str:
 
 def _aggregate(rows: Sequence[dict]) -> tuple[list[float], dict[str, dict[float, tuple[float, float]]]]:
     """Per-fraction (mean, variance) of each metric, undefined skipped."""
-    fractions = sorted({_num(r["fraction"]) for r in rows})
+    column = _column(rows, "fraction")
+    fractions = sorted(set(column))
     stats: dict[str, dict[float, tuple[float, float]]] = {m: {} for m in PLOTTED_METRICS}
     for metric in PLOTTED_METRICS:
+        cells = _column(rows, metric, optional=True)
         for fraction in fractions:
-            values = [
-                _num(r[metric]) for r in rows
-                if _num(r["fraction"]) == fraction and _num(r[metric]) is not None
-            ]
+            values = [v for f, v in zip(column, cells) if f == fraction and v is not None]
             if not values:
                 continue
             mean = sum(values) / len(values)

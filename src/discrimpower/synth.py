@@ -8,7 +8,9 @@ Two generators:
   many systems retrieve it near the top, regardless of its true grade.
 
 Both preserve the judged (topic, document) universe so downstream score
-matrices stay comparable; only grades change.
+matrices stay comparable; only grades change. Both work on the sorted
+judged keys of ``measures._union_judgments``, and the labeller counts
+ranked documents through ``measures._ranked``, as scoring does.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigurationError
-from .measures import _union_judgments
+from .measures import _ranked, _union_judgments
 from .trec import CANDIDATE, Qrels, RunSet
 
 PER_TOPIC = "per_topic"
@@ -126,67 +128,39 @@ class PopularityConfig:
             raise ConfigurationError("explicit_p is only valid with p_mode='explicit'")
 
 
-def popularity_counts(runs: RunSet, gt: Qrels, depth: int = 100) -> dict:
-    """Per (topic, doc): how many systems retrieve the doc in their top ``depth``.
-
-    Only judged documents are counted; everything else can never be
-    labelled and would only add noise.
-    """
-    counts: dict[tuple[str, str], int] = {}
-    judged = set(gt.judgments)
-    for tag in runs.systems():
-        for topic, ranking in runs.runs[tag].items():
-            for doc_id in ranking.doc_ids[:depth]:
-                key = (topic, doc_id)
-                if key in judged:
-                    counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
 def popularity_biased(gt: Qrels, runs: RunSet, cfg: PopularityConfig = PopularityConfig()) -> Qrels:
     """Label the most-retrieved judged documents per topic as relevant.
 
-    Within a topic, documents are ranked by retrieval count (descending,
-    document id ascending as tie-break) and the top ceil(p * judged)
-    receive grade 1; the rest grade 0. Topics none of whose judged
-    documents appear in any run keep all grades at 0 and produce a
-    warning, since the labeller has no signal there.
+    A judged document's count is how many systems retrieve it in their
+    top ``depth``. Within a topic, documents are ranked by count
+    (descending, document id ascending as tie-break) and the top
+    ceil(p * judged) receive grade 1; the rest grade 0. Topics none of
+    whose judged documents appear in any run keep all grades at 0 and
+    produce a warning, since the labeller has no signal there.
     """
-    counts = popularity_counts(runs, gt, cfg.depth)
-    by_topic = gt.by_topic()
-
+    keys, topics, bounds, grades, _ = _union_judgments(gt)
+    bounds = bounds.tolist()
+    ranked = _ranked(runs, runs.systems(), keys, topics, bounds, cfg.depth)
+    counts = np.bincount(ranked.ravel() + 1, minlength=len(keys) + 1)[1:]
+    relevant = grades[0, :-1] >= cfg.relevant_threshold
     if cfg.p_mode == GLOBAL:
-        total = len(gt.judgments)
-        if total == 0:
+        if not keys:
             raise ConfigurationError("cannot label an empty qrel set")
-        rel = sum(1 for g in gt.judgments.values() if g >= cfg.relevant_threshold)
-        p_global = Fraction(rel, total)
+        p = Fraction(int(relevant.sum()), len(keys))
+    elif cfg.p_mode == EXPLICIT:
+        p = Fraction(str(cfg.explicit_p))
 
-    judgments: dict[tuple[str, str], int] = {}
-    for topic in gt.topics():
-        docs = sorted(by_topic[topic])
-        n_topic = len(docs)
+    labels = np.zeros(len(keys), dtype=np.int64)
+    for topic, start, end in zip(topics, bounds, bounds[1:]):
         if cfg.p_mode == PER_TOPIC:
-            n_select = sum(
-                1 for d in docs if by_topic[topic][d] >= cfg.relevant_threshold
-            )
-        elif cfg.p_mode == GLOBAL:
-            n_select = math.ceil(p_global * n_topic)
+            n_select = int(relevant[start:end].sum())
         else:
-            n_select = math.ceil(Fraction(str(cfg.explicit_p)) * n_topic)
-        n_select = min(n_select, n_topic)
-
-        covered = [d for d in docs if counts.get((topic, d), 0) > 0]
-        if not covered and n_select > 0:
-            warnings.warn(
-                f"topic {topic}: no judged document retrieved within depth "
-                f"{cfg.depth}; labelling all non-relevant",
-                stacklevel=2,
-            )
-            n_select = 0
-        ranked = sorted(docs, key=lambda d: (-counts.get((topic, d), 0), d))
-        selected = set(ranked[:n_select])
-        for d in docs:
-            judgments[(topic, d)] = 1 if d in selected else 0
-
-    return Qrels(judgments=judgments, role=CANDIDATE)
+            n_select = min(math.ceil(p * (end - start)), end - start)
+        if n_select and not counts[start:end].any():
+            warnings.warn(f"topic {topic}: no judged document retrieved within depth "
+                          f"{cfg.depth}; labelling all non-relevant", stacklevel=2)
+            continue
+        # A stable sort keeps the segment's doc id order among equal counts.
+        order = np.argsort(-counts[start:end], kind="stable")
+        labels[start + order[:n_select]] = 1
+    return Qrels(judgments=dict(zip(keys, labels.tolist())), role=CANDIDATE)

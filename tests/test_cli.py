@@ -545,6 +545,45 @@ def test_plot_wrong_schema_exits_1(workspace, tmp_path, capsys):
     assert "missing columns" in capsys.readouterr().err
 
 
+SWEEP_HEADER = "fraction,repetition,p1,r1,p2,r2,bac,mcc\n"
+PAIRS_HEADER = "system_a,system_b,mean_gt_a,mean_gt_b,mean_cand_a,mean_cand_b,error_class\n"
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--sweep", SWEEP_HEADER + "0.5,0,0.6,0.5,0.7,0.8,0.65,0.3\n,1,0.6,0.5,0.7,0.8,0.65,0.3\n",
+     "column fraction, data row 2: '' is not a number"),
+    ("--sweep", SWEEP_HEADER + "0.5,0,abc,0.5,0.7,0.8,0.65,0.3\n",
+     "column p1, data row 1: 'abc' is not a number"),
+    ("--sweep", SWEEP_HEADER + "0.5,0,0.6,0.5,0.7,0.8,0.65,0.3\ninf,0,0.6,0.5,0.7,0.8,0.65,0.3\n",
+     "column fraction, data row 2: 'inf' is not a number"),
+    ("--pairs", PAIRS_HEADER + "A,B,0.8,0.5,0.7,0.5,TP\nA,C,0.8,x,0.7,0.2,FP\n",
+     "column mean_gt_b, data row 2: 'x' is not a number"),
+    ("--pairs", PAIRS_HEADER + "A,B,0.8,,0.7,0.5,TP\n",
+     "column mean_gt_b, data row 1: '' is not a number"),
+    ("--pairs", PAIRS_HEADER + "A,B,0.8,0.5,0.7,undefined,TP\n",
+     "column mean_cand_b, data row 1: 'undefined' is not a number"),
+], ids=["blank-fraction", "metric-not-a-number", "infinite-fraction", "mean-not-a-number",
+        "blank-mean", "undefined-mean"])
+def test_plot_rejects_a_cell_that_is_not_a_number(tmp_path, capsys, flag, text, message):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    assert main(["plot", flag, str(path), "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.glob("*.svg"))
+
+
+def test_plot_reads_blank_and_undefined_metric_cells_as_undefined(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text(SWEEP_HEADER + "0.5,0,,undefined,0.7,0.8,0.65,0.3\n"
+                    "1.0,0, 1.0 ,1.0,1.0,1.0,1.0,1.0\n")
+    assert main(["plot", "--sweep", str(path), "--out-dir", str(tmp_path)]) == 0
+    svg = (tmp_path / "sweep.svg").read_text()
+    for metric in ("p1", "r1"):  # only the fraction-1.0 vertex
+        points = svg.split(f'<polyline class="metric-{metric}" points="')[1].split('"')[0]
+        assert len(points.split()) == 1
+    assert len(svg.split('<polyline class="metric-p2" points="')[1].split('"')[0].split()) == 2
+
+
 def test_plot_missing_file_exits_2(tmp_path, capsys):
     code = main(["plot", "--pairs", str(tmp_path / "nope.csv"),
                  "--out-dir", str(tmp_path)])

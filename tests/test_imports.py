@@ -69,18 +69,23 @@ def test_cli_start_and_option_errors_load_no_numpy(tmp_path, argv, code):
 
 
 def test_single_worker_test_loads_no_process_pool(tmp_path):
-    code = (
-        "import sys\n"
-        "from discrimpower import (MeasureSpec, SigTestConfig, build_mini_collection,\n"
-        "                          score_matrix, tukey_hsd_pvalues)\n"
-        "runs, qrels = build_mini_collection()\n"
-        "sm = score_matrix(runs, qrels, MeasureSpec())\n"
-        "tukey_hsd_pvalues(sm, SigTestConfig(permutations=300, n_workers=1))\n"
-        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
-    )
-    proc = _child(code, cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    sampled = ("runs, qrels = build_mini_collection()\n"
+               "sm = score_matrix(runs, qrels, MeasureSpec())\n"
+               "tukey_hsd_pvalues(sm, SigTestConfig(permutations=300, n_workers=1))\n")
+    # 6**4 = 1,296 assignments: two blocks, both in this process.
+    exhaustive = ("sm = ScoreMatrix('abc', 'wxyz', [[0.1, 0.2, 0.3, 0.4], [0.5] * 4, [0.0] * 4])\n"
+                  "tukey_hsd_pvalues(sm, SigTestConfig(mode='exhaustive', n_workers=1))\n")
+    for test in (sampled, exhaustive):
+        code = (
+            "import sys\n"
+            "from discrimpower import (MeasureSpec, ScoreMatrix, SigTestConfig,\n"
+            "                          build_mini_collection, score_matrix, tukey_hsd_pvalues)\n"
+            + test +
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+        )
+        proc = _child(code, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n", test
 
 
 def test_compare_loads_no_sampler(tmp_path, mini_files):

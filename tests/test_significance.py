@@ -16,6 +16,7 @@ from discrimpower.significance import (
     SigTestConfig,
     significance_to_csv,
     tukey_hsd_pvalues,
+    _exhaustive_null,
     _sampled_null,
     _tukey_many,
 )
@@ -31,8 +32,9 @@ def matrix(values, seed_tags="abcdefgh"):
     )
 
 
-def brute_exhaustive(values):
-    """Independent enumerator with identical left-to-right sums."""
+def brute_null(values):
+    """HSD* of every assignment in ``itertools.product`` order, and the
+    observed means, with identical left-to-right sums."""
     m, n = values.shape
     rows = [[float(values[i, t]) for t in range(n)] for i in range(m)]
     perms = list(itertools.permutations(range(m)))
@@ -50,7 +52,13 @@ def brute_exhaustive(values):
     for assignment in itertools.product(range(len(perms)), repeat=n):
         ms = means_for(assignment)
         null.append(max(ms) - min(ms))
-    observed = means_for(tuple([0] * n))
+    return null, means_for(tuple([0] * n))
+
+
+def brute_exhaustive(values):
+    """Independent enumerator with identical left-to-right sums."""
+    m = len(values)
+    null, observed = brute_null(values)
     out = {}
     for i in range(m):
         for j in range(i + 1, m):
@@ -102,6 +110,31 @@ def test_exhaustive_matches_brute_force_on_ties_and_zeros(values, other):
     cfg = SigTestConfig(mode=EXHAUSTIVE)
     both = _tukey_many([sm, matrix(other)], cfg)
     assert both == [mine, tukey_hsd_pvalues(matrix(other), cfg)]
+
+
+def test_exhaustive_batch_of_mixed_shapes_equals_one_matrix_calls():
+    # Three 3 x 4 matrices share each block's permutations.
+    rng = np.random.default_rng(23)
+    shapes = [(3, 4), (2, 5), (3, 4), (4, 2), (2, 1), (3, 4)]
+    mats = [matrix(rng.random(shape)) for shape in shapes]
+    mats[2].values[:, 0] = 0.0
+    cfg = SigTestConfig(mode=EXHAUSTIVE)
+    many = _tukey_many(mats, cfg)
+    assert many == [tukey_hsd_pvalues(sm, cfg) for sm in mats]
+    for sm, ss in zip(mats, many):
+        for (i, j), expected in brute_exhaustive(sm.values).items():
+            assert ss.p_values[(sm.system_tags[i], sm.system_tags[j])] == expected
+
+
+def test_exhaustive_null_is_product_order_at_any_worker_count():
+    # 6**4 = 1,296 assignments fill two blocks, so two workers split them.
+    values = np.random.default_rng(25).random((3, 4))
+    nulls = [_exhaustive_null(values[None], SigTestConfig(mode=EXHAUSTIVE, n_workers=w))[0]
+             for w in (1, 2)]
+    assert nulls[0].tobytes() == nulls[1].tobytes() == np.array(brute_null(values)[0]).tobytes()
+    one, two = (tukey_hsd_pvalues(matrix(values), SigTestConfig(mode=EXHAUSTIVE, n_workers=w))
+                for w in (1, 2))
+    assert one == two
 
 
 def paired_randomization_p(x, y):
@@ -318,8 +351,7 @@ def test_larger_gap_means_smaller_or_equal_p():
 
 def test_alpha_and_partition():
     ss = SignificanceSet(alpha=0.05, p_values={("a", "b"): 0.01, ("a", "c"): 0.5})
-    assert ss.S == frozenset({("a", "b")})
-    assert ss.NS == frozenset({("a", "c")})
+    assert ss.significant == {("a", "b"): True, ("a", "c"): False}
 
 
 def test_alpha_inclusive_boundary():

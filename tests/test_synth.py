@@ -1,18 +1,23 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discrimpower.errors import ConfigurationError
 from discrimpower.synth import (
     EXPLICIT,
     GLOBAL,
+    PER_TOPIC,
     PopularityConfig,
     SamplingConfig,
     percentage_sample,
     popularity_biased,
 )
-from discrimpower.trec import CANDIDATE, Qrels, parse_run
+from discrimpower.trec import CANDIDATE, Qrels, Ranking, RunSet, parse_run
 
 
 def random_qrels(rng, n_topics=4, docs_per_topic=12):
@@ -333,3 +338,97 @@ def test_popularity_config_validation():
         PopularityConfig(p_mode=EXPLICIT, explicit_p=1.2)
     with pytest.raises(ConfigurationError):
         PopularityConfig(explicit_p=0.5)  # explicit_p without explicit mode
+
+
+def reference_popularity(gt, runs, cfg):
+    """The popularity labeller as loops over (topic, doc) dicts."""
+    counts = {}
+    for tag in runs.systems():
+        for topic, ranking in runs.runs[tag].items():
+            for doc_id in ranking.doc_ids[:cfg.depth]:
+                if (topic, doc_id) in gt.judgments:
+                    counts[(topic, doc_id)] = counts.get((topic, doc_id), 0) + 1
+    by_topic = gt.by_topic()
+    if cfg.p_mode == GLOBAL:
+        rel = sum(1 for g in gt.judgments.values() if g >= cfg.relevant_threshold)
+        p_global = Fraction(rel, len(gt.judgments))
+    judgments = {}
+    for topic in gt.topics():
+        docs = sorted(by_topic[topic])
+        if cfg.p_mode == PER_TOPIC:
+            n_select = sum(1 for d in docs if by_topic[topic][d] >= cfg.relevant_threshold)
+        elif cfg.p_mode == GLOBAL:
+            n_select = math.ceil(p_global * len(docs))
+        else:
+            n_select = math.ceil(Fraction(str(cfg.explicit_p)) * len(docs))
+        n_select = min(n_select, len(docs))
+        if n_select > 0 and not any(counts.get((topic, d), 0) for d in docs):
+            warnings.warn(f"topic {topic}: no judged document retrieved within depth "
+                          f"{cfg.depth}; labelling all non-relevant")
+            n_select = 0
+        ranked = sorted(docs, key=lambda d: (-counts.get((topic, d), 0), d))
+        selected = set(ranked[:n_select])
+        judgments.update(((topic, d), int(d in selected)) for d in docs)
+    return judgments
+
+
+POOL = [f"d{i:02d}" for i in range(12)]
+
+
+@st.composite
+def popularity_inputs(draw):
+    """(gt, runs): 1-5 systems, 1-4 topics, rankings 1-12 deep that may
+    miss topics and hold unjudged documents, grades -1 to 3. A system may
+    copy another's run, which ties every count it adds. Topic ``qz``, when
+    present, is judged only on documents no run retrieves."""
+    n_systems, n_topics = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    judgments = {}
+    for t in range(n_topics):
+        judged = draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=8, unique=True))
+        judgments.update(((f"q{t}", doc), draw(st.integers(-1, 3))) for doc in judged)
+    topics = [f"q{t}" for t in range(n_topics)]
+    if draw(st.booleans()):
+        judgments.update({("qz", "u0"): 3, ("qz", "u1"): 3, ("qz", "u2"): 0})
+        topics.append("qz")
+    runs = {}
+    for s in range(n_systems):
+        if s and draw(st.integers(0, 3)) == 0:
+            runs[f"s{s}"] = runs[f"s{s - 1}"]
+            continue
+        per_topic = {}
+        for topic in topics:
+            if draw(st.integers(0, 4)) == 0:  # the system misses the topic
+                continue
+            depth = draw(st.integers(1, 12))
+            per_topic[topic] = Ranking(draw(st.permutations(POOL))[:depth],
+                                       range(depth, 0, -1))
+        runs[f"s{s}"] = per_topic
+    return Qrels(judgments=judgments), RunSet(runs=runs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(inputs=popularity_inputs(),
+       p_mode=st.sampled_from([PER_TOPIC, GLOBAL, EXPLICIT]),
+       explicit_p=st.one_of(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.7, 1.0]),
+                            st.floats(0.0, 1.0)),
+       depth=st.integers(1, 14),
+       relevant_threshold=st.integers(1, 3))
+def test_popularity_equals_the_dict_reference(inputs, p_mode, explicit_p, depth,
+                                              relevant_threshold):
+    gt, runs = inputs
+    cfg = PopularityConfig(depth=depth, p_mode=p_mode, relevant_threshold=relevant_threshold,
+                           explicit_p=explicit_p if p_mode == EXPLICIT else None)
+    with warnings.catch_warnings(record=True) as expected_warnings:
+        warnings.simplefilter("always")
+        expected = reference_popularity(gt, runs, cfg)
+    with warnings.catch_warnings(record=True) as got_warnings:
+        warnings.simplefilter("always")
+        got = popularity_biased(gt, runs, cfg)
+    assert sorted(got.judgments.items()) == sorted(expected.items())
+    assert {type(grade) for grade in got.judgments.values()} == {int}
+    assert got.role == CANDIDATE
+    messages = [str(w.message) for w in got_warnings]
+    assert messages == [str(w.message) for w in expected_warnings]
+    assert all(w.category is UserWarning and w.filename == __file__ for w in got_warnings)
+    if "qz" in gt.topics() and (p_mode != EXPLICIT or explicit_p > 0):
+        assert any(m.startswith("topic qz: ") for m in messages)
