@@ -30,7 +30,7 @@ _EXPORTS = {
                   "report_to_csv", "report_to_json", "run_sweep", "sweep_summary_to_csv",
                   "sweep_to_csv"),
     "significance": ("EXHAUSTIVE", "SAMPLED", "SignificanceSet", "SigTestConfig",
-                     "significance_to_csv", "tukey_hsd_pvalues"),
+                     "tukey_hsd_pvalues"),
     "svgplot": ("render_scatter", "render_sweep"),
     "synth": ("PopularityConfig", "SamplingConfig", "percentage_sample", "popularity_biased"),
     "trec": ("Qrels", "Ranking", "RunSet", "load_qrels", "load_run", "load_runs",

@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import re
+import ssl
 import threading
 import time
 import urllib.request
@@ -172,7 +173,7 @@ _OPENER = urllib.request.build_opener(_NoRedirects)
 
 
 def _post_completion(cfg: LabellerConfig, prompt: str) -> str:
-    """POST the prompt; return the reply text. Retries 5xx, 429 and connection errors."""
+    """POST the prompt; return the reply text. Retries 5xx, 429 and non-TLS connection errors."""
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(cfg.api_key_env)
     if api_key:
@@ -196,6 +197,9 @@ def _post_completion(cfg: LabellerConfig, prompt: str) -> str:
             with resp:
                 status, reply_headers, raw = resp.status, resp.headers, resp.read()
         except (OSError, http.client.HTTPException) as exc:
+            reason = getattr(exc, "reason", None)  # an EOF in the handshake may be transient
+            if isinstance(reason, ssl.SSLError) and not isinstance(reason, ssl.SSLEOFError):
+                raise TransportError(f"TLS handshake failed: {reason}") from None
             last_error = exc
             continue
         except ValueError:  # http.client refused the URL or a header; do not echo the key

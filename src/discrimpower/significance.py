@@ -13,13 +13,13 @@ Sampled mode draws topic ``t``'s permutations for every iteration of
 block ``k`` from one counter-based stream keyed on ``(master_seed, k,
 t)``; exhaustive mode takes block ``k``'s slice of the (m!)^n
 within-topic assignments in ``itertools.product`` order. Workers split
-the run on block boundaries only, so p-values are bit-identical for a
-fixed seed regardless of execution order or worker count. A short last
-block draws only the rows it uses; numpy's ``Generator.permuted``
-shuffles rows in order, so these are the first rows of the full block,
-and the first ``B'`` iterations of a run with ``B > B'`` iterations are
-the run with ``B'``. Sampled p-values for a given seed differ from
-version 0.1.0, which keyed one stream on each (seed, iteration, topic).
+the run on block boundaries only and return, per pair, how many of their
+iterations reach its observed gap. Integer sums are exact in any order,
+so p-values are bit-identical for a fixed seed whatever the execution
+order or worker count. A short last block draws only the rows it uses;
+numpy's ``Generator.permuted`` shuffles rows in order, so these are the
+first rows of the full block, and the first ``B'`` iterations of a run
+with ``B > B'`` iterations are the run with ``B'``.
 
 Matrices of one shape tested in one call share each block's permutations,
 and each still gets exactly the null it gets when tested alone.
@@ -38,7 +38,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .measures import ScoreMatrix, sequential_row_means
-from .trec import _csv_table, _true_false
 
 SAMPLED = "sampled"
 EXHAUSTIVE = "exhaustive"
@@ -158,30 +157,36 @@ def _null_blocks(stack: np.ndarray, draw, first: int, last: int, total: int) -> 
     return null
 
 
+def _counts(stack: np.ndarray, draw, first: int, last: int, total: int) -> np.ndarray:
+    """Per matrix of ``stack`` and pair in ``np.triu_indices`` order, how many
+    iterations of blocks [first, last) reach the pair's observed gap: (K, pairs) int64."""
+    null = _null_blocks(stack, draw, first, last, total)
+    null.sort()
+    k, m, n = stack.shape
+    means = sequential_row_means(stack.reshape(k * m, n)).reshape(k, m)
+    i, j = np.triu_indices(m, 1)
+    return np.array([hsd.size - np.searchsorted(hsd, gaps, side="left")
+                     for hsd, gaps in zip(null, np.abs(means[:, i] - means[:, j]))])
+
+
 def _split_blocks(stack: np.ndarray, draw, total: int, n_workers: int) -> np.ndarray:
-    """``_null_blocks`` over ``total`` iterations, split between ``n_workers`` processes."""
+    """``_counts`` over ``total`` iterations, summed over ``n_workers`` processes."""
     n_blocks = -(-total // _BLOCK)
     workers = min(n_workers, n_blocks)
     if workers == 1:
-        return _null_blocks(stack, draw, 0, n_blocks, total)
+        return _counts(stack, draw, 0, n_blocks, total)
     from concurrent.futures import ProcessPoolExecutor  # one worker never loads multiprocessing
 
     bounds = [w * n_blocks // workers for w in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(_null_blocks, [stack] * workers, [draw] * workers, bounds[:-1],
-                         bounds[1:], [total] * workers)
-        return np.concatenate(list(parts), axis=1)
+        return sum(pool.map(_counts, [stack] * workers, [draw] * workers, bounds[:-1],
+                            bounds[1:], [total] * workers))
 
 
-def _sampled_null(stack: np.ndarray, cfg: SigTestConfig) -> np.ndarray:
-    """The sampled null of each matrix in the (K, m, n) ``stack``, as (K, B)."""
-    draw = functools.partial(_sampled_draw, cfg.master_seed, stack.shape[1])
-    return _split_blocks(stack, draw, cfg.permutations, cfg.n_workers)
-
-
-def _exhaustive_null(stack: np.ndarray, cfg: SigTestConfig) -> np.ndarray:
-    """The exact null of each matrix in the (K, m, n) ``stack``, as (K, (m!)^n)."""
-    _, m, n = stack.shape
+def _draw(m: int, n: int, cfg: SigTestConfig):
+    """The draw function and the iteration count of a test of (m, n) matrices."""
+    if cfg.mode == SAMPLED:
+        return functools.partial(_sampled_draw, cfg.master_seed, m), cfg.permutations
     total = math.factorial(m) ** n
     if total > cfg.exhaustive_cap:
         raise ConfigurationError(
@@ -189,8 +194,7 @@ def _exhaustive_null(stack: np.ndarray, cfg: SigTestConfig) -> np.ndarray:
             f"of {cfg.exhaustive_cap}; use sampled mode"
         )
     rows = np.array(list(itertools.permutations(range(m))), dtype=np.intp)
-    return _split_blocks(stack, functools.partial(_exhaustive_draw, rows, n), total,
-                         cfg.n_workers)
+    return functools.partial(_exhaustive_draw, rows, n), total
 
 
 def tukey_hsd_pvalues(sm: ScoreMatrix, cfg: SigTestConfig = SigTestConfig()) -> SignificanceSet:
@@ -219,38 +223,28 @@ def _tukey_many(matrices: Sequence[ScoreMatrix], cfg: SigTestConfig) -> list[Sig
         if n < 1:
             raise ConfigurationError("significance testing needs at least one topic")
 
-    null_of = _exhaustive_null if cfg.mode == EXHAUSTIVE else _sampled_null
     by_shape: dict[tuple[int, int], list[int]] = {}
     for i, v in enumerate(values):
         by_shape.setdefault(v.shape, []).append(i)
-    nulls = [None] * len(values)
-    for members in by_shape.values():
-        for i, null in zip(members, null_of(np.stack([values[i] for i in members]), cfg)):
-            nulls[i] = null
     add = int(cfg.mode == SAMPLED)
-    return [_significance_set(sm, v, null, add, cfg)
-            for sm, v, null in zip(matrices, values, nulls)]
+    results = [None] * len(values)
+    for (m, n), members in by_shape.items():
+        draw, total = _draw(m, n, cfg)
+        counts = _split_blocks(np.stack([values[i] for i in members]), draw, total,
+                               cfg.n_workers)
+        for i, row in zip(members, counts):
+            results[i] = _significance_set(matrices[i].system_tags, row, total, add, cfg)
+    return results
 
 
-def _significance_set(sm: ScoreMatrix, values: np.ndarray, null: np.ndarray, add: int,
+def _significance_set(tags: Sequence[str], counts: np.ndarray, total: int, add: int,
                       cfg: SigTestConfig) -> SignificanceSet:
-    """The p-values of ``sm`` from its ``null``, which is sorted in place."""
-    null.sort()
-    means = sequential_row_means(values)
-    first, second = np.triu_indices(len(means), 1)
-    counts = null.size - np.searchsorted(null, np.abs(means[first] - means[second]), side="left")
-    denom = null.size + add
-    tags = sm.system_tags
+    """The p-values of the pairs of ``tags`` from their exceedance ``counts``."""
+    first, second = np.triu_indices(len(tags), 1)
+    denom = total + add
     p_values = {_pair_key(tags[i], tags[j]): (count + add) / denom
                 for i, j, count in zip(first.tolist(), second.tolist(), counts.tolist())}
 
     below = operator.le if cfg.alpha_inclusive else operator.lt
     significant = {p: below(v, cfg.alpha) for p, v in p_values.items()}
     return SignificanceSet(alpha=cfg.alpha, p_values=p_values, significant=significant)
-
-
-def significance_to_csv(ss: SignificanceSet) -> str:
-    columns = (("system_a", str), ("system_b", str), ("p_value", repr),
-               ("significant", _true_false))
-    return _csv_table(columns, ((a, b, ss.p_values[(a, b)], ss.significant[(a, b)])
-                                for a, b in ss.pairs))

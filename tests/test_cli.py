@@ -6,6 +6,7 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -453,6 +454,24 @@ def test_generate_llm(stub_server, tmp_path):
     assert load_qrels(out).judgments == {
         ("t1", "dA"): 2, ("t1", "dB"): 1, ("t2", "dA"): 2,
     }
+
+
+def test_generate_llm_over_tls_to_a_plain_http_server_fails_at_once(stub_server, tmp_path,
+                                                                    capsys):
+    url, state = stub_server
+    (tmp_path / "pairs.qrels").write_text("t1 0 dA 1\nt1 0 dB 0\n")
+    (tmp_path / "queries.tsv").write_text("t1\tquery one\n")
+    (tmp_path / "texts.tsv").write_text("t1\tdA\ttext DOC:dA\nt1\tdB\ttext DOC:dB\n")
+    start = time.perf_counter()
+    code = main([
+        "generate", "llm", "--gt", str(tmp_path / "pairs.qrels"),
+        "--queries", str(tmp_path / "queries.tsv"), "--texts", str(tmp_path / "texts.tsv"),
+        "--endpoint", url.replace("http://", "https://"), "--model", "m",
+        "--out-dir", str(tmp_path / "out"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1 and time.perf_counter() - start < 1
+    assert err == "error: 2 pair(s) failed: (t1, dA), (t1, dB)\n" and state.requests == 0
 
 
 def test_generate_llm_requires_endpoint(workspace, tmp_path, capsys):

@@ -107,7 +107,7 @@ def test_compare_loads_no_sampler(tmp_path, mini_files):
 
 def test_public_names_are_their_defining_modules_objects():
     names = [n for n in discrimpower.__all__ if n != "__version__"]
-    assert len(discrimpower.__all__) == 62 and len(set(names)) == 61
+    assert len(discrimpower.__all__) == 61 and len(set(names)) == 60
     for name in names:
         home = importlib.import_module(f"discrimpower.{discrimpower._MODULE_OF[name]}")
         value = getattr(discrimpower, name)

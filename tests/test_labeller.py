@@ -1,11 +1,14 @@
 import json
+import socket
 import subprocess
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from discrimpower import labeller
 from discrimpower.errors import ConfigurationError
 from discrimpower.labeller import (
     DEFAULT_PROMPT_TEMPLATE,
@@ -319,6 +322,40 @@ def test_a_broken_exchange_is_retried(stub_server, monkeypatch, refusal, timeout
     state.replies["d00"] = "2"
     result = label_pair("q", "text DOC:d00", cfg_for(url, max_retries=2, timeout=timeout))
     assert (result.grade, state.requests) == (2, 2)
+
+
+def test_a_failed_tls_handshake_is_not_retried(stub_server, monkeypatch):
+    # https:// against the plain-HTTP stub: the handshake gets an HTTP reply.
+    url, state = stub_server
+    opened = []
+    real_open = labeller._OPENER.open
+    monkeypatch.setattr(labeller._OPENER, "open",
+                        lambda *args, **kw: opened.append(1) or real_open(*args, **kw))
+    start = time.perf_counter()
+    with pytest.raises(TransportError, match="^TLS handshake failed: .*WRONG_VERSION_NUMBER"):
+        label_pair("q", "text DOC:d00", cfg_for(url.replace("http://", "https://"),
+                                                max_retries=3))
+    assert time.perf_counter() - start < 1
+    assert (len(opened), state.requests) == (1, 0)
+
+
+def test_an_eof_in_the_tls_handshake_is_retried(monkeypatch):
+    monkeypatch.setattr("discrimpower.labeller.time.sleep", lambda seconds: None)
+    accepted = []
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        def close_each():
+            for _ in range(2):
+                conn, _ = server.accept()
+                accepted.append(1)
+                conn.close()
+
+        thread = threading.Thread(target=close_each, daemon=True)
+        thread.start()
+        url = f"https://127.0.0.1:{server.getsockname()[1]}/v1/chat/completions"
+        with pytest.raises(TransportError, match="^gave up after 2 attempts: .*EOF"):
+            label_pair("q", "text DOC:d00", cfg_for(url, max_retries=2, timeout=5))
+        thread.join(timeout=5)
+    assert not thread.is_alive() and len(accepted) == 2
 
 
 def test_an_api_key_that_cannot_be_a_header_is_a_transport_error(stub_server, monkeypatch):

@@ -1,6 +1,8 @@
+import concurrent.futures.process  # the pool's modules load before a test traces memory
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +16,9 @@ from discrimpower.significance import (
     EXHAUSTIVE,
     SignificanceSet,
     SigTestConfig,
-    significance_to_csv,
     tukey_hsd_pvalues,
-    _exhaustive_null,
-    _sampled_null,
+    _draw,
+    _null_blocks,
     _tukey_many,
 )
 
@@ -30,6 +31,13 @@ def matrix(values, seed_tags="abcdefgh"):
         topic_ids=tuple(f"t{i}" for i in range(n)),
         values=values,
     )
+
+
+def null_of(stack, cfg, first=0, last=None):
+    """The null of each matrix in the (K, m, n) ``stack`` over blocks
+    [first, last), in iteration order: (K, iterations)."""
+    draw, total = _draw(*stack.shape[1:], cfg)
+    return _null_blocks(stack, draw, first, -(-total // BLOCK) if last is None else last, total)
 
 
 def brute_null(values):
@@ -129,12 +137,30 @@ def test_exhaustive_batch_of_mixed_shapes_equals_one_matrix_calls():
 def test_exhaustive_null_is_product_order_at_any_worker_count():
     # 6**4 = 1,296 assignments fill two blocks, so two workers split them.
     values = np.random.default_rng(25).random((3, 4))
-    nulls = [_exhaustive_null(values[None], SigTestConfig(mode=EXHAUSTIVE, n_workers=w))[0]
-             for w in (1, 2)]
-    assert nulls[0].tobytes() == nulls[1].tobytes() == np.array(brute_null(values)[0]).tobytes()
-    one, two = (tukey_hsd_pvalues(matrix(values), SigTestConfig(mode=EXHAUSTIVE, n_workers=w))
-                for w in (1, 2))
-    assert one == two
+    cfg = SigTestConfig(mode=EXHAUSTIVE)
+    whole = null_of(values[None], cfg)[0]
+    split = np.concatenate([null_of(values[None], cfg, 0, 1)[0],
+                            null_of(values[None], cfg, 1, 2)[0]])
+    assert whole.tobytes() == split.tobytes() == np.array(brute_null(values)[0]).tobytes()
+    one, two, three = (tukey_hsd_pvalues(matrix(values), dataclasses.replace(cfg, n_workers=w))
+                       for w in (1, 2, 3))
+    assert one == two == three
+
+
+def test_workers_send_counts_not_the_null():
+    # Exhaustive 3 x 7: 6**7 = 279,936 assignments, a 2.2 MB null that two
+    # workers split. The parent holds only their per-pair counts.
+    values = np.random.default_rng(27).random((3, 7))
+    cfg = SigTestConfig(mode=EXHAUSTIVE, n_workers=2)
+    null_bytes = math.factorial(3) ** 7 * 8
+    tracemalloc.start()
+    try:
+        two = _tukey_many([matrix(values)], cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < null_bytes / 4
+    assert two == _tukey_many([matrix(values)], dataclasses.replace(cfg, n_workers=1))
 
 
 def paired_randomization_p(x, y):
@@ -227,8 +253,8 @@ def reference_null(values, seed, permutations):
 def test_sampled_null_matches_reference_loop_bit_for_bit(m, n, seed, permutations,
                                                           data_seed):
     values = np.random.default_rng(data_seed).random((m, n))
-    null = _sampled_null(values[None], SigTestConfig(permutations=permutations,
-                                                     master_seed=seed))[0]
+    null = null_of(values[None], SigTestConfig(permutations=permutations,
+                                               master_seed=seed))[0]
     ref = reference_null(values, seed, permutations)
     assert null.tobytes() == ref.tobytes()
 
@@ -255,8 +281,7 @@ def test_batched_null_matches_reference_loop_per_matrix(k, m, n, seed, permutati
     stack[:, :, 0] = np.round(stack[:, :, 0])  # exact 0s and ties
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(significance, "_ACC_CELLS", chunk * BLOCK * m)
-        nulls = _sampled_null(stack, SigTestConfig(permutations=permutations,
-                                                   master_seed=seed))
+        nulls = null_of(stack, SigTestConfig(permutations=permutations, master_seed=seed))
     assert nulls.shape == (k, permutations)
     for values, null in zip(stack, nulls):
         assert null.tobytes() == reference_null(values, seed, permutations).tobytes()
@@ -278,8 +303,8 @@ def test_batched_test_equals_one_matrix_calls_at_any_worker_count():
 
 def test_sampled_null_is_a_prefix_of_longer_runs():
     values = np.random.default_rng(5).random((5, 9))
-    short = _sampled_null(values[None], SigTestConfig(permutations=1500, master_seed=8))[0]
-    long = _sampled_null(values[None], SigTestConfig(permutations=2048, master_seed=8))[0]
+    short = null_of(values[None], SigTestConfig(permutations=1500, master_seed=8))[0]
+    long = null_of(values[None], SigTestConfig(permutations=2048, master_seed=8))[0]
     assert short.tobytes() == long[:1500].tobytes()
 
 
@@ -290,10 +315,10 @@ def test_short_blocks_are_prefixes_of_a_full_block(seed, m, n):
     # gives the same bits as the full block only because numpy's
     # Generator.permuted(..., axis=1) shuffles rows in order.
     values = np.random.default_rng(seed % 1000).random((m, n))
-    full = _sampled_null(values[None], SigTestConfig(permutations=BLOCK, master_seed=seed))[0]
+    full = null_of(values[None], SigTestConfig(permutations=BLOCK, master_seed=seed))[0]
     for permutations in (1, 200, BLOCK - 1):
-        short = _sampled_null(values[None], SigTestConfig(permutations=permutations,
-                                                          master_seed=seed))[0]
+        short = null_of(values[None], SigTestConfig(permutations=permutations,
+                                                    master_seed=seed))[0]
         assert short.tobytes() == full[:permutations].tobytes()
 
 
@@ -399,14 +424,3 @@ def test_needs_two_systems():
     sm = matrix(np.array([[0.1, 0.2]]))
     with pytest.raises(ConfigurationError):
         tukey_hsd_pvalues(sm, SigTestConfig(permutations=10))
-
-
-def test_csv_export():
-    ss = SignificanceSet(
-        alpha=0.05, p_values={("b", "c"): 0.5, ("a", "b"): 0.01}
-    )
-    text = significance_to_csv(ss)
-    lines = text.splitlines()
-    assert lines[0] == "system_a,system_b,p_value,significant"
-    assert lines[1] == "a,b,0.01,true"
-    assert lines[2] == "b,c,0.5,false"
