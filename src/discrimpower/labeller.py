@@ -61,12 +61,17 @@ class ResponseParseError(DiscrimPowerError):
 
 
 class LabellingError(DiscrimPowerError):
-    """One or more pairs failed after retries; carries the failures."""
+    """One or more pairs failed after retries; carries the failures.
+
+    The message names the first failure's cause on the same line, so a
+    wrong scheme, a refused connection and a rejected request read apart.
+    """
 
     def __init__(self, failures: list):
         keys = ", ".join(f"({t}, {d})" for t, d, _ in failures[:5])
         more = f" and {len(failures) - 5} more" if len(failures) > 5 else ""
-        super().__init__(f"{len(failures)} pair(s) failed: {keys}{more}")
+        first = " ".join(str(failures[0][2]).split())  # a rejection body may span lines
+        super().__init__(f"{len(failures)} pair(s) failed: {keys}{more}; first: {first}")
         self.failures = failures
 
 

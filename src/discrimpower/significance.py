@@ -22,7 +22,10 @@ first rows of the full block, and the first ``B'`` iterations of a run
 with ``B > B'`` iterations are the run with ``B'``.
 
 Matrices of one shape tested in one call share each block's permutations,
-and each still gets exactly the null it gets when tested alone.
+and each still gets exactly the null it gets when tested alone: each
+(block, topic) draw is gathered into one matrix at a time, slot-major, and
+added in topic order, so only one matrix's block is gathered beside the
+accumulator.
 """
 
 from __future__ import annotations
@@ -113,9 +116,10 @@ def _sampled_draw(master_seed: int, m: int, block: int, topic: int, size: int) -
 
 
 def _exhaustive_draw(rows: np.ndarray, n: int, block: int, topic: int, size: int) -> np.ndarray:
-    """Topic ``topic``'s row of ``rows`` per iteration, in ``itertools.product`` order."""
+    """Topic ``topic``'s row of ``rows`` per iteration, in ``itertools.product``
+    order, F-ordered as ``Generator.permuted`` gives sampled draws."""
     i = np.arange(block * _BLOCK, block * _BLOCK + size)
-    return rows[i // len(rows) ** (n - 1 - topic) % len(rows)]
+    return rows.T.take(i // len(rows) ** (n - 1 - topic) % len(rows), axis=1).T
 
 
 def _null_blocks(stack: np.ndarray, draw, first: int, last: int, total: int) -> np.ndarray:
@@ -123,37 +127,40 @@ def _null_blocks(stack: np.ndarray, draw, first: int, last: int, total: int) -> 
     [first, last), capped at ``total``: one row per matrix.
 
     ``draw(block, topic, size)`` gives one topic's (size, m) permutations
-    for a block. Every matrix of a chunk gathers from one draw of each
-    (block, topic). A chunk holds as many matrices as keep its accumulator
-    within ``_ACC_CELLS`` cells, so a stack of several chunks draws each
-    (block, topic) once per chunk.
+    for a block, F-ordered. Every matrix of a chunk gathers from one draw
+    of each (block, topic), one matrix at a time. A chunk holds as many
+    matrices as keep its accumulator within ``_ACC_CELLS`` cells, so a
+    stack of several chunks draws each (block, topic) once per chunk.
     """
     k, m, n = stack.shape
     columns = np.ascontiguousarray(stack.transpose(2, 0, 1))  # columns[t] is (k, m)
     chunk = max(1, _ACC_CELLS // (_BLOCK * m))
     start = first * _BLOCK
     null = np.empty((k, min(last * _BLOCK, total) - start))
-    acc_cells = np.empty(min(chunk, k) * min(_BLOCK, total - start) * m)
-    col_cells = np.empty_like(acc_cells)
+    col_cells = np.empty(min(_BLOCK, total - start) * m)
+    acc_cells = np.empty(min(chunk, k) * col_cells.size)
     for block in range(first, last):
         size = min(_BLOCK, total - block * _BLOCK)
         pos = block * _BLOCK - start
+        col = col_cells[:m * size]
         for lo in range(0, k, chunk):
             hi = min(lo + chunk, k)
-            shape = (hi - lo, size, m)
-            acc = acc_cells[:math.prod(shape)].reshape(shape)
-            col = col_cells[:acc.size].reshape(shape)
-            # acc[j, i, s] adds, in topic order as sequential_row_means does,
-            # the score of the system that iteration i places in slot s of
-            # matrix lo + j. Every index is in range, and mode="clip" lets
-            # np.take write to ``out`` without a buffer.
+            acc = acc_cells[:(hi - lo) * col.size].reshape(hi - lo, col.size)
+            # acc[j, s * size + i] adds, in topic order as sequential_row_means
+            # does, the score of the system that iteration i places in slot s
+            # of matrix lo + j. Each draw is F-ordered, so its slot-major
+            # ravel is a view. Every index is in range, and mode="clip" lets
+            # take write to ``out`` without a buffer.
+            rows = list(acc)
             for t in range(n):
-                np.take(columns[t, lo:hi], draw(block, t, size), axis=1,
-                        out=acc if t == 0 else col, mode="clip")
-                if t:
-                    acc += col
-            acc /= n
-            np.subtract(acc.max(axis=2), acc.min(axis=2), out=null[lo:hi, pos:pos + size])
+                slots = draw(block, t, size).T.ravel()
+                for scores, row in zip(columns[t, lo:hi], rows):
+                    scores.take(slots, out=col if t else row, mode="clip")
+                    if t:
+                        np.add(row, col, out=row)
+            hsd = acc.reshape(hi - lo, m, size)
+            hsd /= n
+            np.subtract(hsd.max(axis=1), hsd.min(axis=1), out=null[lo:hi, pos:pos + size])
     return null
 
 

@@ -196,6 +196,15 @@ def render_scatter(rows: Sequence[dict]) -> str:
     return _svg(parts)
 
 
+def _sum(values) -> float:
+    """Left-to-right float sum, as ``sequential_row_means`` adds. The built-in
+    ``sum()`` is compensated from Python 3.12 on, so it would differ by version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _aggregate(rows: Sequence[dict]) -> tuple[list[float], dict[str, dict[float, tuple[float, float]]]]:
     """Per-fraction (mean, variance) of each metric, undefined skipped."""
     column = _column(rows, "fraction")
@@ -207,8 +216,8 @@ def _aggregate(rows: Sequence[dict]) -> tuple[list[float], dict[str, dict[float,
             values = [v for f, v in zip(column, cells) if f == fraction and v is not None]
             if not values:
                 continue
-            mean = sum(values) / len(values)
-            var = sum((v - mean) ** 2 for v in values) / len(values)
+            mean = _sum(values) / len(values)
+            var = _sum((v - mean) ** 2 for v in values) / len(values)
             stats[metric][fraction] = (mean, var)
     return fractions, stats
 

@@ -456,6 +456,24 @@ def test_generate_llm(stub_server, tmp_path):
     }
 
 
+def test_generate_llm_sends_the_prompt_file(stub_server, tmp_path):
+    url, state = stub_server
+    (tmp_path / "pairs.qrels").write_text("t1 0 dA 1\n")
+    (tmp_path / "queries.tsv").write_text("t1\tquery one\n")
+    (tmp_path / "texts.tsv").write_text("t1\tdA\ttext DOC:dA\n")
+    (tmp_path / "prompt.txt").write_text("Custom rubric. Q={query} D={document} Grade:")
+    state.replies["dA"] = "1"
+    code = main([
+        "generate", "llm", "--gt", str(tmp_path / "pairs.qrels"),
+        "--queries", str(tmp_path / "queries.tsv"), "--texts", str(tmp_path / "texts.tsv"),
+        "--endpoint", url, "--model", "m", "--prompt-file", str(tmp_path / "prompt.txt"),
+        "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == 0
+    assert [body["messages"][0]["content"] for body in state.bodies] == [
+        "Custom rubric. Q=query one D=text DOC:dA Grade:"]
+
+
 def test_generate_llm_over_tls_to_a_plain_http_server_fails_at_once(stub_server, tmp_path,
                                                                     capsys):
     url, state = stub_server
@@ -471,7 +489,10 @@ def test_generate_llm_over_tls_to_a_plain_http_server_fails_at_once(stub_server,
     ])
     err = capsys.readouterr().err
     assert code == 1 and time.perf_counter() - start < 1
-    assert err == "error: 2 pair(s) failed: (t1, dA), (t1, dB)\n" and state.requests == 0
+    # The first failure's cause follows on the same line; OpenSSL words its reason.
+    assert err.startswith("error: 2 pair(s) failed: (t1, dA), (t1, dB); "
+                          "first: TLS handshake failed: ")
+    assert err.count("\n") == 1 and err.endswith("\n") and state.requests == 0
 
 
 def test_generate_llm_requires_endpoint(workspace, tmp_path, capsys):
@@ -601,6 +622,15 @@ def test_plot_reads_blank_and_undefined_metric_cells_as_undefined(tmp_path):
         points = svg.split(f'<polyline class="metric-{metric}" points="')[1].split('"')[0]
         assert len(points.split()) == 1
     assert len(svg.split('<polyline class="metric-p2" points="')[1].split('"')[0].split()) == 2
+
+
+def test_plot_on_latin_1_input_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "in.csv"
+    path.write_bytes((PAIRS_HEADER + "caf\xe9,B,0.8,0.5,0.7,0.5,TP\n").encode("latin-1"))
+    assert main(["plot", "--pairs", str(path), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: input is not UTF-8 text: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("*.svg"))
 
 
 def test_plot_missing_file_exits_2(tmp_path, capsys):

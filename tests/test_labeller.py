@@ -252,7 +252,8 @@ def test_failed_pairs_are_listed_in_key_order(stub_server):
         with pytest.raises(LabellingError) as exc_info:
             label_qrels(pairs, cfg_for(url, concurrency=4))
         assert str(exc_info.value) == (
-            "8 pair(s) failed: (t1, d1), (t1, d2), (t1, d3), (t1, d4), (t1, d5) and 3 more")
+            "8 pair(s) failed: (t1, d1), (t1, d2), (t1, d3), (t1, d4), (t1, d5) and 3 more; "
+            "first: request rejected: 400")
         assert [pair[:2] for pair in exc_info.value.failures] == sorted(pair[:2] for pair in pairs)
 
 

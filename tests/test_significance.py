@@ -287,6 +287,21 @@ def test_batched_null_matches_reference_loop_per_matrix(k, m, n, seed, permutati
         assert null.tobytes() == reference_null(values, seed, permutations).tobytes()
 
 
+def test_gather_buffer_is_one_matrix_block():
+    # One sampled block of 11 stacked 30 x 50 matrices. The accumulator holds
+    # every matrix's block; each topic is gathered one matrix at a time, so
+    # the rest (draw, gather buffer, columns, null) stays under five blocks.
+    stack = np.random.default_rng(29).random((11, 30, 50))
+    one_block = 30 * BLOCK * 8
+    tracemalloc.start()
+    try:
+        null_of(stack, SigTestConfig(permutations=BLOCK))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 * one_block + 5 * one_block
+
+
 def test_batched_test_equals_one_matrix_calls_at_any_worker_count():
     # Mixed shapes: a batch shares draws only between matrices of one shape.
     rng = np.random.default_rng(21)

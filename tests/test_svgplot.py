@@ -3,7 +3,7 @@ import re
 import pytest
 
 from discrimpower.errors import ValidationError
-from discrimpower.svgplot import WIDTH, HEIGHT, render_scatter, render_sweep
+from discrimpower.svgplot import WIDTH, HEIGHT, _aggregate, render_scatter, render_sweep
 
 
 def scatter_rows():
@@ -170,3 +170,18 @@ def test_sweep_single_fraction_points():
     assert len(polylines) == 6
     for points in polylines:
         assert len(points.split()) == 1
+
+
+def test_sweep_means_sum_left_to_right_on_every_python():
+    # Ten cells of 0.1 sum to 0.9999999999999999 left to right; Python 3.12's
+    # compensated sum() gives 1.0.
+    rows = [{**sweep_rows()[0], "repetition": str(i), "p1": "0.1"} for i in range(10)]
+    total = 0.0
+    for _ in range(10):
+        total += 0.1
+    mean = total / 10
+    assert mean != 0.1
+    squares = 0.0
+    for _ in range(10):
+        squares += (0.1 - mean) ** 2
+    assert _aggregate(rows)[1]["p1"][0.5] == (mean, squares / 10)
