@@ -341,9 +341,12 @@ def cmd_sweep(opts: dict) -> int:
     configs = _sampling_configs(opts, opts["fractions"])  # checks each cell's settings up front
     runs, gt = _load_inputs(opts, spec.k, ("gt", GROUND_TRUTH))
     from . import reporting
+    from .measures import _GradeIndex
 
-    scores = reporting._sweep_scores(runs, gt, configs, spec, opts["kappa_threshold"])
-    del runs, gt  # the test runs without the inputs
+    index = _GradeIndex(runs, spec.k, gt)
+    del runs, gt  # sampling, scoring and the test run without the inputs
+    scores = reporting._sweep_scores(index, configs, spec, opts["kappa_threshold"])
+    del index
     result = reporting._swept(configs, reporting._tested(*scores, sig_cfg))
     precision, out_dir = opts["precision"], opts["out_dir"]
     _write_text(out_dir / "sweep.csv", reporting.sweep_to_csv(result, precision))
@@ -361,6 +364,12 @@ def cmd_generate_sample(opts: dict) -> int:
     if single is None and listed is None:
         raise ConfigurationError("give a sampling fraction via --fraction or --fractions")
     configs = _sampling_configs(opts, listed if listed is not None else [single])
+    named: dict[str, float] = {}  # file names print fractions as {:g}
+    for cfg in configs:
+        other = named.setdefault(f"{cfg.fraction:g}", cfg.fraction)
+        if other != cfg.fraction:
+            raise ConfigurationError(f"sampling fractions {other!r} and {cfg.fraction!r} "
+                                     f"would both write sample_{cfg.fraction:g}_0.qrels")
     gt = load_qrels(opts["gt"], opts["max_grade"], GROUND_TRUTH)
     from .synth import percentage_sample
 

@@ -220,9 +220,9 @@ def _post_completion(cfg: LabellerConfig, prompt: str) -> str:
             last_error = TransportError(f"server error {status}")
             continue
         if status != 200:  # a 3xx is not followed: name where it pointed instead
-            location = reply_headers["Location"]
-            detail = f"redirect to {location}" if 300 <= status < 400 else text[:200]
-            raise TransportError(f"request rejected: {status} {detail}")
+            location = reply_headers["Location"] if 300 <= status < 400 else None
+            detail = f"redirect to {location}" if location else text[:200].strip()
+            raise TransportError(" ".join(filter(None, (f"request rejected: {status}", detail))))
         try:
             return json.loads(raw)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError):

@@ -4,7 +4,9 @@
 scores the truth and every candidate grade vector on one
 ``measures._GradeIndex`` of the qrels; then ``_tested`` tests all the
 matrices in one batch and builds one agreement report per candidate. The
-CLI drops the runs and qrels in between. A comparison's candidate is a
+CLI's ``compare`` drops the runs and qrels in between; its ``sweep`` drops
+them once the truth is indexed, before the first cell is sampled, and
+passes the index to ``_sweep_scores``. A comparison's candidate is a
 second qrels set; a sweep's are the cells of a grid of sampling fractions
 and repetitions. The only parallelism is the test's split of its work.
 
@@ -273,16 +275,20 @@ def run_sweep(
     configs = [SamplingConfig(fraction=fraction, repetitions=repetitions, master_seed=master_seed,
                               relevant_threshold=relevant_threshold, stratified=stratified)
                for fraction in fractions]
-    scores = _sweep_scores(runs, gt_qrels, configs, spec, kappa_threshold)
+    scores = _sweep_scores(_GradeIndex(runs, spec.k, gt_qrels), configs, spec, kappa_threshold)
     return _swept(configs, _tested(*scores, dataclasses.replace(sig_cfg, n_workers=n_workers)))
 
 
-def _sweep_scores(runs: RunSet, gt_qrels: Qrels, configs: list, spec: MeasureSpec,
+def _sweep_scores(index: _GradeIndex, configs: list, spec: MeasureSpec,
                   kappa_threshold: int) -> tuple:
-    """``_scores`` of every cell of the fractions' ``SamplingConfig`` list, in order."""
+    """``_scores`` of every cell of the fractions' ``SamplingConfig`` list, in order.
+
+    ``index`` holds the truth alone. Built by the caller, it lets the
+    caller drop the runs and qrels before the first cell is sampled.
+    """
     from .synth import _sample_grades
 
-    return _scores(_GradeIndex(runs, spec.k, gt_qrels), lambda index: (
+    return _scores(index, lambda index: (
         _sample_grades(index.grades[0], index.bounds, sampling, rep)
         for sampling in configs for rep in range(sampling.repetitions)
     ), spec, kappa_threshold)

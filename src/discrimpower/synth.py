@@ -10,7 +10,8 @@ Two generators:
 Both preserve the judged (topic, document) universe so downstream score
 matrices stay comparable; only grades change. Both work on the sorted
 judged keys of ``measures._union_judgments``, and the labeller counts
-ranked documents through ``measures._ranked``, as scoring does.
+ranked documents through ``measures._ranked``, as scoring does. Only
+popularity labelling loads ``fractions``, for its exact relevant rate.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -138,6 +138,8 @@ def popularity_biased(gt: Qrels, runs: RunSet, cfg: PopularityConfig = Popularit
     whose judged documents appear in any run keep all grades at 0 and
     produce a warning, since the labeller has no signal there.
     """
+    from fractions import Fraction  # here, so that sampling never loads it
+
     keys, topics, bounds, grades, _ = _union_judgments(gt)
     bounds = bounds.tolist()
     ranked = _ranked(runs, runs.systems(), keys, topics, bounds, cfg.depth)

@@ -271,6 +271,8 @@ ALL_INPUTS_MISSING = {
     ("evaluate", [], b"max_grade=-1\n",
      "opts.cfg: invalid value for max_grade: max_grade must be >= 0, got -1"),
     ("generate sample", ["--fraction", "1.5"], None, "fraction must be in [0, 1], got 1.5"),
+    ("generate sample", ["--fractions", "0.1,0.1000001"], None,
+     "sampling fractions 0.1 and 0.1000001 would both write sample_0.1_0.qrels"),
     ("generate popularity", ["--p-mode", "explicit"], None,
      "explicit mode needs explicit_p in [0, 1]"),
     ("generate llm", ["--model", "m"], None, "--endpoint is required for llm generation"),
@@ -286,6 +288,7 @@ ALL_INPUTS_MISSING = {
         "compare-seed-negative", "compare-config-permutations-abc", "sweep-repetitions-0",
         "compare-max-grade-negative", "evaluate-max-grade-negative",
         "evaluate-config-max-grade-negative", "sample-fraction-1.5",
+        "sample-fractions-one-file-name",
         "popularity-explicit-without-p", "llm-without-endpoint",
         "llm-timeout-0", "llm-config-retries-0",
         *[f"llm-endpoint-{name}" for name in BAD_ENDPOINTS],
@@ -744,7 +747,7 @@ def test_a_command_holds_one_string_per_id(workspace, candidate, tmp_path, monke
 @pytest.mark.parametrize("command", ["compare", "sweep"])
 def test_the_test_runs_without_the_inputs(workspace, candidate, tmp_path, monkeypatch,
                                           command):
-    from discrimpower import reporting
+    from discrimpower import reporting, synth
     from discrimpower.measures import _GradeIndex
 
     loaded = []
@@ -754,16 +757,26 @@ def test_the_test_runs_without_the_inputs(workspace, candidate, tmp_path, monkey
             _init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", spy)
-    tested = []
+    tested, sampled = [], []
+
+    def live():
+        return sorted(type(ref()).__name__ for ref in loaded if ref() is not None)
 
     def test(*args, _real=reporting._tukey_many):
-        tested.append(sorted(type(ref()).__name__ for ref in loaded if ref() is not None))
+        tested.append(live())
+        return _real(*args)
+
+    def sample(*args, _real=synth._sample_grades):
+        sampled.append(live())
         return _real(*args)
 
     monkeypatch.setattr(reporting, "_tukey_many", test)
+    monkeypatch.setattr(synth, "_sample_grades", sample)
     args = [arg.format(cand=candidate, **workspace) for arg in INDEXED[command]]
     assert main([*args, "--runs-dir", workspace["runs_dir"], "--out-dir", str(tmp_path)]) == 0
     assert len(loaded) > 3 and tested == [[]]
+    # sweep samples its 2 x 2 cells on the truth's index alone.
+    assert sampled == ([["_GradeIndex"]] * 4 if command == "sweep" else [])
 
 
 def _shuffled(path, dest, rng):

@@ -88,21 +88,29 @@ def test_single_worker_test_loads_no_process_pool(tmp_path):
         assert proc.stdout == "[]\n", test
 
 
-def test_compare_loads_no_sampler(tmp_path, mini_files):
-    # Only sweep samples, so compare loads neither synth nor the fractions
-    # and decimal modules that synth imports.
+SAMPLER = ("discrimpower.synth", "fractions", "decimal")
+
+
+@pytest.mark.parametrize("command, loaded", [
+    (["compare", "--cand", "{gt}"], []),
+    (["sweep", "--fractions", "0.5,1", "--repetitions", "2"], ["discrimpower.synth"]),
+], ids=["compare", "sweep"])
+def test_a_command_loads_no_sampling_module_it_does_not_run(tmp_path, mini_files, command,
+                                                            loaded):
+    # Only sweep samples, and only popularity labelling reads fractions;
+    # decimal comes with fractions.
+    gt, runs_dir, out = mini_files
     code = (
         "import json, sys\n"
         "from discrimpower import cli\n"
-        "code = cli.main(['compare', '--gt', sys.argv[1], '--cand', sys.argv[1],\n"
-        "                 '--runs-dir', sys.argv[2], '--permutations', '50',\n"
-        "                 '--out-dir', sys.argv[3]])\n"
-        "print(json.dumps([code, sorted({'discrimpower.synth', 'fractions', 'decimal'}\n"
-        "                               & set(sys.modules))]))\n"
+        "code = cli.main(sys.argv[1:])\n"
+        f"print(json.dumps([code, sorted(set({SAMPLER!r}) & set(sys.modules))]))\n"
     )
-    proc = _child(code, *mini_files, cwd=tmp_path)
+    argv = [*(arg.format(gt=gt) for arg in command), "--gt", gt, "--runs-dir", runs_dir,
+            "--permutations", "50", "--out-dir", out]
+    proc = _child(code, *argv, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, loaded]
 
 
 def test_public_names_are_their_defining_modules_objects():

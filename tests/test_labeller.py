@@ -311,6 +311,21 @@ def test_a_success_status_other_than_200_is_rejected(stub_server):
     assert state.requests == 1
 
 
+@pytest.mark.parametrize("refusal, message", [
+    ((400, {}), "request rejected: 400"),
+    ((400, {}, b" \n"), "request rejected: 400"),
+    ((302, {}), "request rejected: 302"),
+    ((302, {}, b"moved"), "request rejected: 302 moved"),
+], ids=["no-body", "blank-body", "redirect-without-location", "redirect-with-only-a-body"])
+def test_a_rejection_message_holds_only_its_non_empty_parts(stub_server, refusal, message):
+    url, state = stub_server
+    state.refusals.append(refusal)
+    with pytest.raises(TransportError) as exc_info:
+        label_pair("q", "text DOC:d00", cfg_for(url, max_retries=3))
+    assert str(exc_info.value) == message
+    assert state.requests == 1
+
+
 @pytest.mark.parametrize("refusal, timeout", [
     (("drop", 0), 60),
     ((500, {"Content-Length": "100"}, b"cut short"), 60),
