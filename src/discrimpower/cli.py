@@ -297,18 +297,10 @@ def _sig_config(opts: dict):
 
 
 def _sampling_configs(opts: dict, fractions) -> list:
-    from .synth import SamplingConfig
+    from .synth import _sampling_configs
 
-    return [
-        SamplingConfig(
-            fraction=fraction,
-            repetitions=opts["repetitions"],
-            master_seed=opts["seed"],
-            relevant_threshold=opts["relevant_threshold"],
-            stratified=opts["stratified"],
-        )
-        for fraction in fractions
-    ]
+    return _sampling_configs(fractions, opts["repetitions"], opts["seed"],
+                             opts["relevant_threshold"], opts["stratified"])
 
 
 def cmd_compare(opts: dict) -> int:

@@ -103,11 +103,12 @@ class LabellerConfig:
                 raise ConfigurationError(f"prompt template is missing the {slot} slot")
         if self.scale_max < 1:
             raise ConfigurationError("scale_max must be >= 1")
-        if not self.timeout > 0:
-            raise ConfigurationError(f"timeout must be > 0 seconds, got {self.timeout}")
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:  # a socket overflows above the max
+            bound = f"at most {threading.TIMEOUT_MAX:.0f}" if self.timeout > 0 else "> 0"
+            raise ConfigurationError(f"timeout must be {bound} seconds, got {self.timeout}")
         if self.max_retries < 1:
             raise ConfigurationError("max_retries must be >= 1")
-        if self.rate_limit is not None and self.rate_limit <= 0:
+        if self.rate_limit is not None and not self.rate_limit > 0:  # NaN fails too
             raise ConfigurationError("rate_limit must be positive when set")
         if self.concurrency < 1:
             raise ConfigurationError("concurrency must be >= 1")

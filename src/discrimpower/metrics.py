@@ -54,6 +54,13 @@ class ConfusionCounts:
         return self.tn + self.fp
 
 
+def _error_class(sig_gt: bool, sig_cand: bool) -> str:
+    """The candidate's call on one pair, scored against the truth's: TP, FN, FP or TN."""
+    if sig_gt:
+        return "TP" if sig_cand else "FN"
+    return "FP" if sig_cand else "TN"
+
+
 def confusion(gt: SignificanceSet, cand: SignificanceSet) -> ConfusionCounts:
     """Count tp/tn/fp/fn over the shared pair universe.
 
@@ -67,9 +74,9 @@ def confusion(gt: SignificanceSet, cand: SignificanceSet) -> ConfusionCounts:
             f"only in ground truth {sorted(gt_pairs - cand_pairs)}, "
             f"only in candidate {sorted(cand_pairs - gt_pairs)}"
         )
-    outcomes = Counter((sig, cand.significant[pair]) for pair, sig in gt.significant.items())
-    return ConfusionCounts(tp=outcomes[True, True], tn=outcomes[False, False],
-                           fp=outcomes[False, True], fn=outcomes[True, False])
+    outcomes = Counter(_error_class(sig, cand.significant[p]) for p, sig in gt.significant.items())
+    return ConfusionCounts(tp=outcomes["TP"], tn=outcomes["TN"], fp=outcomes["FP"],
+                           fn=outcomes["FN"])
 
 
 def _ratio(num: int, denom: int) -> Optional[float]:

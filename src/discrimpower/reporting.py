@@ -22,13 +22,11 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Optional
 
-import numpy as np
-
-from .errors import ConfigurationError, ValidationError
+from .errors import ValidationError
 from .measures import MeasureSpec, ScoreMatrix, _GradeIndex, mean_scores
-from .metrics import DiscrimReport, _kappa, _report
+from .metrics import DiscrimReport, _error_class, _kappa, _report
 from .significance import SignificanceSet, SigTestConfig, _tukey_many
-from .trec import Qrels, RunSet, _csv_table, _true_false
+from .trec import Qrels, RunSet, _csv_table, _sweep_summary, _true_false
 
 SWEEP_METRICS = ("kappa", "tau", "delta_sens", "p1", "r1", "p2", "r2", "bac", "mcc")
 _COUNTS = (("fp", str), ("fn", str), ("tp", str), ("tn", str))
@@ -121,7 +119,7 @@ def _comparison_scores(runs: RunSet, gt_qrels: Qrels, cand_qrels: Qrels, spec: M
                    spec, kappa_threshold)
 
 
-def _scores(index: _GradeIndex, candidates: Callable[[_GradeIndex], Iterable[np.ndarray]],
+def _scores(index: _GradeIndex, candidates: Callable[[_GradeIndex], Iterable],
             spec: MeasureSpec, kappa_threshold: int) -> tuple[ScoreMatrix, list]:
     """The truth's score matrix, and every candidate's with its kappa against the truth.
 
@@ -142,12 +140,6 @@ def _tested(gt_matrix: ScoreMatrix, scored: list, sig_cfg: SigTestConfig) -> lis
     return [Comparison(gt_matrix, matrix, means_gt, means := mean_scores(matrix), gt_ss, cand_ss,
                        _report(gt_ss, cand_ss, means_gt, means, kappa))
             for (matrix, kappa), cand_ss in zip(scored, cand_sets)]
-
-
-def _error_class(sig_gt: bool, sig_cand: bool) -> str:
-    if sig_gt:
-        return "TP" if sig_cand else "FN"
-    return "FP" if sig_cand else "TN"
 
 
 def pair_rows(cmp: Comparison) -> list[dict]:
@@ -221,22 +213,11 @@ def summarize_rows(
     rows: list[dict],
     fractions: list[float],
 ) -> dict[float, dict[str, tuple[Optional[float], Optional[float], int]]]:
-    """Aggregate mean/variance (population) per fraction over defined values."""
-    summary: dict[float, dict[str, tuple[Optional[float], Optional[float], int]]] = {}
-    for fraction in fractions:
-        per_metric = {}
-        cells = [r for r in rows if r["fraction"] == fraction]
-        for metric in SWEEP_METRICS:
-            values = [r[metric] for r in cells if r[metric] is not None]
-            if not values:
-                per_metric[metric] = (None, None, 0)
-            else:
-                arr = np.asarray(values, dtype=float)
-                per_metric[metric] = (
-                    float(arr.mean()), float(arr.var()), len(values)
-                )
-        summary[fraction] = per_metric
-    return summary
+    """Aggregate mean/variance (population) per fraction over defined values,
+    summed left to right as ``plot --sweep`` sums them."""
+    return _sweep_summary([row["fraction"] for row in rows],
+                          {metric: [row[metric] for row in rows] for metric in SWEEP_METRICS},
+                          fractions)
 
 
 def run_sweep(
@@ -265,16 +246,10 @@ def run_sweep(
     iterations across workers on 1024-iteration blocks, so the worker
     count changes only wall time, never results.
     """
-    if not fractions:
-        raise ConfigurationError("need at least one sampling fraction")
-    repeated = [f for i, f in enumerate(fractions) if f in fractions[:i]]
-    if repeated:  # its cells would repeat another fraction's, seed for seed
-        raise ConfigurationError(f"sampling fraction {repeated[0]!r} is listed twice")
-    from .synth import SamplingConfig  # compare never loads the sampler
+    from .synth import _sampling_configs  # compare never loads the sampler
 
-    configs = [SamplingConfig(fraction=fraction, repetitions=repetitions, master_seed=master_seed,
-                              relevant_threshold=relevant_threshold, stratified=stratified)
-               for fraction in fractions]
+    configs = _sampling_configs(fractions, repetitions, master_seed, relevant_threshold,
+                                stratified)
     scores = _sweep_scores(_GradeIndex(runs, spec.k, gt_qrels), configs, spec, kappa_threshold)
     return _swept(configs, _tested(*scores, dataclasses.replace(sig_cfg, n_workers=n_workers)))
 

@@ -47,6 +47,7 @@ EXHAUSTIVE = "exhaustive"
 
 _BLOCK = 1024  # iterations per block, the unit of both the draws and the worker split
 _ACC_CELLS = 1 << 19  # float64 cells (4 MiB) of one chunk's gather accumulator
+_EXHAUSTIVE_CAP = 10_000_000  # assignments exhaustive mode may enumerate
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,6 @@ class SigTestConfig:
     permutations: int = 10_000
     master_seed: int = 0
     mode: str = SAMPLED
-    exhaustive_cap: int = 10_000_000
     alpha_inclusive: bool = False
     n_workers: int = 1
 
@@ -82,16 +82,19 @@ class SigTestConfig:
 class SignificanceSet:
     """P-values and the significant / non-significant pair partition.
 
-    Pairs are unordered and stored with lexicographically sorted tags.
+    Pairs are unordered and stored with lexicographically sorted tags. A
+    pair is significant when ``p < alpha``, or ``p <= alpha`` with
+    ``alpha_inclusive``, as ``SigTestConfig`` sets the rule.
     """
 
     alpha: float
     p_values: dict[tuple[str, str], float]
-    significant: dict[tuple[str, str], bool] = field(default_factory=dict)
+    alpha_inclusive: bool = False
+    significant: dict[tuple[str, str], bool] = field(init=False)
 
     def __post_init__(self):
-        if not self.significant:
-            self.significant = {p: v < self.alpha for p, v in self.p_values.items()}
+        below = operator.le if self.alpha_inclusive else operator.lt
+        self.significant = {p: below(v, self.alpha) for p, v in self.p_values.items()}
 
     @property
     def pairs(self) -> list[tuple[str, str]]:
@@ -195,10 +198,10 @@ def _draw(m: int, n: int, cfg: SigTestConfig):
     if cfg.mode == SAMPLED:
         return functools.partial(_sampled_draw, cfg.master_seed, m), cfg.permutations
     total = math.factorial(m) ** n
-    if total > cfg.exhaustive_cap:
+    if total > _EXHAUSTIVE_CAP:
         raise ConfigurationError(
             f"exhaustive enumeration needs {total} assignments, above the cap "
-            f"of {cfg.exhaustive_cap}; use sampled mode"
+            f"of {_EXHAUSTIVE_CAP}; use sampled mode"
         )
     rows = np.array(list(itertools.permutations(range(m))), dtype=np.intp)
     return functools.partial(_exhaustive_draw, rows, n), total
@@ -251,7 +254,4 @@ def _significance_set(tags: Sequence[str], counts: np.ndarray, total: int, add: 
     denom = total + add
     p_values = {_pair_key(tags[i], tags[j]): (count + add) / denom
                 for i, j, count in zip(first.tolist(), second.tolist(), counts.tolist())}
-
-    below = operator.le if cfg.alpha_inclusive else operator.lt
-    significant = {p: below(v, cfg.alpha) for p, v in p_values.items()}
-    return SignificanceSet(alpha=cfg.alpha, p_values=p_values, significant=significant)
+    return SignificanceSet(cfg.alpha, p_values, cfg.alpha_inclusive)

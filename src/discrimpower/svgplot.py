@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import math
 from typing import Optional, Sequence
+from xml.sax.saxutils import escape
 
 from .errors import ValidationError
+from .trec import _sweep_summary
 
 WIDTH, HEIGHT = 800, 600
 MARGIN_LEFT, MARGIN_RIGHT = 70, 170  # right margin hosts the legend
@@ -29,6 +31,7 @@ METRIC_LABELS = {
     "bac": "BAC", "mcc": "MCC",
 }
 COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
+_TICKS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)  # on each [0, 1] axis
 
 SCATTER_COLUMNS = (
     "system_a", "system_b",
@@ -124,6 +127,24 @@ class _Canvas:
         return parts
 
 
+def _legend(entries: Sequence[tuple[str, str, str]]) -> list[str]:
+    """Legend rows of (label, color, dash) right of the plot; an empty dash is solid."""
+    lx = WIDTH - MARGIN_RIGHT + 15
+    parts = []
+    for i, (label, color, dash) in enumerate(entries):
+        y = MARGIN_TOP + 15 + i * 20
+        dasharray = f' stroke-dasharray="{dash}"' if dash else ""
+        parts.append(
+            f'<line x1="{lx}" y1="{y}" x2="{lx + 24}" y2="{y}" stroke="{color}" '
+            f'stroke-width="2"{dasharray}/>'
+        )
+        parts.append(
+            f'<text x="{lx + 30}" y="{y + 4}" font-family="sans-serif" '
+            f'font-size="12">{label}</text>'
+        )
+    return parts
+
+
 def _svg(parts: list[str]) -> str:
     body = "\n".join(f"  {p}" for p in parts)
     return (
@@ -147,9 +168,8 @@ def render_scatter(rows: Sequence[dict]) -> str:
         points[row["system_b"]] = (xb, yb)
 
     cv = _Canvas(0.0, 1.0, 0.0, 1.0)
-    ticks = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
     parts = cv.frame("mean score (ground-truth qrels)",
-                     "mean score (candidate qrels)", ticks, ticks)
+                     "mean score (candidate qrels)", _TICKS, _TICKS)
     parts.append(
         f'<line class="diagonal" x1="{_fmt(cv.sx(0))}" y1="{_fmt(cv.sy(0))}" '
         f'x2="{_fmt(cv.sx(1))}" y2="{_fmt(cv.sy(1))}" '
@@ -175,51 +195,11 @@ def render_scatter(rows: Sequence[dict]) -> str:
         )
         parts.append(
             f'<text x="{_fmt(cv.sx(x) + 8)}" y="{_fmt(cv.sy(y) - 6)}" '
-            f'font-family="sans-serif" font-size="11">{tag}</text>'
+            f'font-family="sans-serif" font-size="11">{escape(tag)}</text>'
         )
-    lx = WIDTH - MARGIN_RIGHT + 15
-    legend = (
-        ("diagonal (agree)", "#999", "4 3"),
-        ("FP pair", "#d62728", "6 3"),
-        ("FN pair", "#1f77b4", "6 3"),
-    )
-    for i, (label, color, dash) in enumerate(legend):
-        y = MARGIN_TOP + 15 + i * 20
-        parts.append(
-            f'<line x1="{lx}" y1="{y}" x2="{lx + 24}" y2="{y}" stroke="{color}" '
-            f'stroke-width="2" stroke-dasharray="{dash}"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 30}" y="{y + 4}" font-family="sans-serif" '
-            f'font-size="12">{label}</text>'
-        )
+    parts += _legend([("diagonal (agree)", "#999", "4 3"), ("FP pair", "#d62728", "6 3"),
+                      ("FN pair", "#1f77b4", "6 3")])
     return _svg(parts)
-
-
-def _sum(values) -> float:
-    """Left-to-right float sum, as ``sequential_row_means`` adds. The built-in
-    ``sum()`` is compensated from Python 3.12 on, so it would differ by version."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
-def _aggregate(rows: Sequence[dict]) -> tuple[list[float], dict[str, dict[float, tuple[float, float]]]]:
-    """Per-fraction (mean, variance) of each metric, undefined skipped."""
-    column = _column(rows, "fraction")
-    fractions = sorted(set(column))
-    stats: dict[str, dict[float, tuple[float, float]]] = {m: {} for m in PLOTTED_METRICS}
-    for metric in PLOTTED_METRICS:
-        cells = _column(rows, metric, optional=True)
-        for fraction in fractions:
-            values = [v for f, v in zip(column, cells) if f == fraction and v is not None]
-            if not values:
-                continue
-            mean = _sum(values) / len(values)
-            var = _sum((v - mean) ** 2 for v in values) / len(values)
-            stats[metric][fraction] = (mean, var)
-    return fractions, stats
 
 
 def render_sweep(rows: Sequence[dict]) -> str:
@@ -230,33 +210,34 @@ def render_sweep(rows: Sequence[dict]) -> str:
     with at least one defined point becomes one polyline.
     """
     _require_columns(rows, SWEEP_COLUMNS, "sweep")
-    fractions, stats = _aggregate(rows)
+    column = _column(rows, "fraction")
+    fractions = sorted(set(column))
+    summary = _sweep_summary(
+        column, {metric: _column(rows, metric, optional=True) for metric in PLOTTED_METRICS},
+        fractions,
+    )
 
     lo = min(
-        (mean - var for per in stats.values() for mean, var in per.values()),
+        (mean - var for per in summary.values() for mean, var, n in per.values() if n),
         default=0.0,
     )
     y0 = -1.0 if lo < 0 else 0.0
     cv = _Canvas(0.0, 1.0, y0, 1.0)
-    xticks = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
-    yticks = [-1.0, -0.5, 0.0, 0.5, 1.0] if y0 < 0 else [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+    yticks = [-1.0, -0.5, 0.0, 0.5, 1.0] if y0 < 0 else _TICKS
     parts = cv.frame("fraction of relevant judgments sampled",
-                     "metric value", xticks, yticks)
+                     "metric value", _TICKS, yticks)
     if y0 < 0:
         zero = _fmt(cv.sy(0.0))
         parts.append(
             f'<line x1="{cv.px0}" y1="{zero}" x2="{cv.px1}" y2="{zero}" '
             f'stroke="#ccc" stroke-width="1"/>'
         )
-    for mi, metric in enumerate(PLOTTED_METRICS):
-        per = stats[metric]
-        if not per:
+    for metric, color in zip(PLOTTED_METRICS, COLORS):
+        defined = [f for f in fractions if summary[f][metric][2]]
+        if not defined:
             continue
-        color = COLORS[mi]
-        for fraction in fractions:
-            if fraction not in per:
-                continue
-            mean, var = per[fraction]
+        for fraction in defined:
+            mean, var, _ = summary[fraction][metric]
             if var <= 0:
                 continue
             x = _fmt(cv.sx(fraction))
@@ -265,22 +246,13 @@ def render_sweep(rows: Sequence[dict]) -> str:
                 f'x2="{x}" y2="{_fmt(cv.sy(mean + var))}" stroke="{color}" stroke-width="1"/>'
             )
         vertices = " ".join(
-            f"{_fmt(cv.sx(f))},{_fmt(cv.sy(per[f][0]))}"
-            for f in fractions if f in per
+            f"{_fmt(cv.sx(f))},{_fmt(cv.sy(summary[f][metric][0]))}"
+            for f in defined
         )
         parts.append(
             f'<polyline class="metric-{metric}" points="{vertices}" fill="none" '
             f'stroke="{color}" stroke-width="2"/>'
         )
-    lx = WIDTH - MARGIN_RIGHT + 15
-    for mi, metric in enumerate(PLOTTED_METRICS):
-        y = MARGIN_TOP + 15 + mi * 20
-        parts.append(
-            f'<line x1="{lx}" y1="{y}" x2="{lx + 24}" y2="{y}" '
-            f'stroke="{COLORS[mi]}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 30}" y="{y + 4}" font-family="sans-serif" '
-            f'font-size="12">{METRIC_LABELS[metric]}</text>'
-        )
+    parts += _legend([(METRIC_LABELS[metric], color, "")
+                      for metric, color in zip(PLOTTED_METRICS, COLORS)])
     return _svg(parts)

@@ -54,6 +54,18 @@ class SamplingConfig:
             raise ConfigurationError("relevant_threshold must be >= 1")
 
 
+def _sampling_configs(fractions: list[float], repetitions: int, master_seed: int,
+                      relevant_threshold: int, stratified: bool) -> list[SamplingConfig]:
+    """One ``SamplingConfig`` per fraction, in order, for a sweep or a sample."""
+    if not fractions:
+        raise ConfigurationError("need at least one sampling fraction")
+    repeated = [f for i, f in enumerate(fractions) if f in fractions[:i]]
+    if repeated:  # its cells would repeat another fraction's, seed for seed
+        raise ConfigurationError(f"sampling fraction {repeated[0]!r} is listed twice")
+    return [SamplingConfig(fraction, repetitions, master_seed, relevant_threshold, stratified)
+            for fraction in fractions]
+
+
 def percentage_sample(gt: Qrels, cfg: SamplingConfig, repetition_index: int = 0) -> Qrels:
     """Keep round(fraction * |relevant|) relevant judgments; zero the rest.
 

@@ -291,6 +291,27 @@ def _csv_table(columns: Sequence[tuple[str, Callable]], rows: Iterable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _sweep_summary(cell_fractions: Sequence[float], columns: dict, fractions) -> dict:
+    """``summary[fraction][name]``: the population (mean, variance, defined
+    count) of column ``name``'s defined (not None) cells of that fraction, or
+    (None, None, 0) where none is defined. Both sums add left to right, as
+    ``sequential_row_means`` does; ``sum()`` is compensated from Python 3.12 on."""
+    summary = {fraction: dict.fromkeys(columns, (None, None, 0)) for fraction in fractions}
+    for name, cells in columns.items():
+        for fraction, per_column in summary.items():
+            values = [v for f, v in zip(cell_fractions, cells) if f == fraction and v is not None]
+            if values:
+                n = len(values)
+                total = squares = 0.0
+                for v in values:
+                    total += v
+                mean = total / n
+                for v in values:
+                    squares += (v - mean) ** 2
+                per_column[name] = (mean, squares / n, n)
+    return summary
+
+
 def merge_runs(fragments: Iterable[RunSet]) -> RunSet:
     """Combine single-system fragments; duplicate tags are an error."""
     combined: dict[str, dict[str, Ranking]] = {}

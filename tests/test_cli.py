@@ -278,6 +278,10 @@ ALL_INPUTS_MISSING = {
     ("generate llm", ["--model", "m"], None, "--endpoint is required for llm generation"),
     ("generate llm", ["--model", "m", "--endpoint", "http://127.0.0.1:1/", "--timeout", "0"],
      None, "timeout must be > 0 seconds, got 0.0"),
+    ("generate llm", ["--model", "m", "--endpoint", "http://127.0.0.1:1/", "--timeout", "inf"],
+     None, "timeout must be at most 9223372036 seconds, got inf"),
+    ("generate llm", ["--model", "m", "--endpoint", "http://127.0.0.1:1/", "--rate-limit", "nan"],
+     None, "rate_limit must be positive when set"),
     ("generate llm", ["--model", "m", "--endpoint", "http://127.0.0.1:1/"], b"retries=0\n",
      "max_retries must be >= 1"),
     *[("generate llm", ["--model", "m", "--endpoint", endpoint], None,
@@ -290,7 +294,7 @@ ALL_INPUTS_MISSING = {
         "evaluate-config-max-grade-negative", "sample-fraction-1.5",
         "sample-fractions-one-file-name",
         "popularity-explicit-without-p", "llm-without-endpoint",
-        "llm-timeout-0", "llm-config-retries-0",
+        "llm-timeout-0", "llm-timeout-inf", "llm-rate-limit-nan", "llm-config-retries-0",
         *[f"llm-endpoint-{name}" for name in BAD_ENDPOINTS],
         "config-key-twice-after-normalising"])
 def test_option_errors_come_before_any_input(tmp_path, capsys, monkeypatch,

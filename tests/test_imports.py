@@ -58,11 +58,14 @@ print(json.dumps([code, sorted(set({HEAVY!r}) & set(sys.modules))]))
     (["evaluate", "--qrels", "gt.qrels", "--runs-dir", ".", "--config", "unknown.cfg"], 1),
     (["sweep", "--gt", "gt.qrels", "--runs-dir", ".", "--config", "choice.cfg"], 1),
     (["sweep", "--gt", "gt.qrels", "--runs-dir", ".", "--fractions", "0.5,0.5"], 1),
+    (["plot", "--sweep", "sweep.csv", "--out-dir", "."], 0),
 ], ids=["build-parser", "help", "bad-flag", "config-unknown-key", "config-value-not-a-choice",
-        "duplicate-fraction"])
+        "duplicate-fraction", "plot-sweep"])
 def test_cli_start_and_option_errors_load_no_numpy(tmp_path, argv, code):
     (tmp_path / "unknown.cfg").write_text("permutation=100\n")
     (tmp_path / "choice.cfg").write_text("precision=ful\n")
+    (tmp_path / "sweep.csv").write_text("fraction,p1,r1,p2,r2,bac,mcc\n0.5,1,1,1,1,1,0\n"
+                                        "0.5,0.5,1,1,0.5,0.75,undefined\n")
     proc = _child(STARTUP, *argv, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [code, []]

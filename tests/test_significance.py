@@ -412,16 +412,22 @@ def test_alpha_inclusive_boundary():
     assert strict.significant[("a", "b")] is False
     assert inclusive.significant[("a", "b")] is True
 
-    # Direct construction defaults to the strict rule as well.
+    # Direct construction defaults to the strict rule as well, and follows
+    # the inclusive one when asked.
     ss = SignificanceSet(alpha=0.05, p_values={("a", "b"): 0.05})
     assert ss.significant[("a", "b")] is False
+    ss = SignificanceSet(0.05, {("a", "b"): 0.05}, alpha_inclusive=True)
+    assert ss.significant[("a", "b")] is True
 
 
 def test_exhaustive_cap():
+    # 24**6 assignments exceed the 10,000,000 cap; the test refuses before
+    # it enumerates any.
     rng = np.random.default_rng(0)
-    sm = matrix(rng.random((3, 5)))
-    with pytest.raises(ConfigurationError, match="sampled"):
-        tukey_hsd_pvalues(sm, SigTestConfig(mode=EXHAUSTIVE, exhaustive_cap=100))
+    sm = matrix(rng.random((4, 6)))
+    with pytest.raises(ConfigurationError,
+                       match="needs 191102976 assignments, above the cap of 10000000; use "):
+        tukey_hsd_pvalues(sm, SigTestConfig(mode=EXHAUSTIVE))
 
 
 def test_config_validation():

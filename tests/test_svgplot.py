@@ -1,9 +1,12 @@
 import re
+import xml.etree.ElementTree as ET
 
 import pytest
 
+from discrimpower import svgplot
 from discrimpower.errors import ValidationError
-from discrimpower.svgplot import WIDTH, HEIGHT, _aggregate, render_scatter, render_sweep
+from discrimpower.reporting import SWEEP_METRICS, summarize_rows
+from discrimpower.svgplot import WIDTH, HEIGHT, render_scatter, render_sweep
 
 
 def scatter_rows():
@@ -172,9 +175,10 @@ def test_sweep_single_fraction_points():
         assert len(points.split()) == 1
 
 
-def test_sweep_means_sum_left_to_right_on_every_python():
+def test_sweep_means_sum_left_to_right_on_every_python(monkeypatch):
     # Ten cells of 0.1 sum to 0.9999999999999999 left to right; Python 3.12's
-    # compensated sum() gives 1.0.
+    # compensated sum() and numpy's pairwise sum both give 1.0. The plot and
+    # sweep_summary.csv share one aggregate, so they agree bit for bit.
     rows = [{**sweep_rows()[0], "repetition": str(i), "p1": "0.1"} for i in range(10)]
     total = 0.0
     for _ in range(10):
@@ -184,4 +188,23 @@ def test_sweep_means_sum_left_to_right_on_every_python():
     squares = 0.0
     for _ in range(10):
         squares += (0.1 - mean) ** 2
-    assert _aggregate(rows)[1]["p1"][0.5] == (mean, squares / 10)
+    plotted = []
+    aggregate = svgplot._sweep_summary
+
+    def spy(*args):
+        plotted.append(aggregate(*args))
+        return plotted[-1]
+
+    monkeypatch.setattr(svgplot, "_sweep_summary", spy)
+    render_sweep(rows)
+    assert plotted[0][0.5]["p1"] == (mean, squares / 10, 10)
+    cells = [{"fraction": 0.5, "repetition": i, **dict.fromkeys(SWEEP_METRICS, 0.1)}
+             for i in range(10)]
+    assert summarize_rows(cells, [0.5])[0.5]["p1"] == (mean, squares / 10, 10)
+
+
+def test_scatter_escapes_run_tags():
+    rows = [{**scatter_rows()[0], "system_a": "a&b", "system_b": "<c>"}]
+    svg = ET.fromstring(render_scatter(rows))
+    texts = {text.text for text in svg.iter("{http://www.w3.org/2000/svg}text")}
+    assert {"a&b", "<c>"} <= texts
