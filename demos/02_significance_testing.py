@@ -27,17 +27,17 @@ def main():
     cfg = SigTestConfig(alpha=0.05, permutations=10_000, master_seed=0)
     ss = tukey_hsd_pvalues(sm, cfg)
     print(f"pairwise p-values (B={cfg.permutations}, alpha={cfg.alpha}):")
-    for (a, b), p in sorted(ss.p_values.items()):
-        mark = "*" if ss.significant[(a, b)] else " "
-        print(f"  {a} vs {b}: p={p:.4f} {mark}")
+    # Pairs are sorted; p and significant are arrays aligned with them.
+    for (a, b), p, sig in zip(ss.pairs, ss.p, ss.significant):
+        print(f"  {a} vs {b}: p={p:.4f} {'*' if sig else ' '}")
 
-    print(f"\nsignificant pairs:     {sorted(p for p, sig in ss.significant.items() if sig)}")
-    print(f"non-significant pairs: {sorted(p for p, sig in ss.significant.items() if not sig)}")
+    print(f"\nsignificant pairs:     {[p for p, sig in zip(ss.pairs, ss.significant) if sig]}")
+    print(f"non-significant pairs: {[p for p, sig in zip(ss.pairs, ss.significant) if not sig]}")
 
     # Rerunning with the same seed is bit-identical; a different seed
     # moves sampled p-values slightly but not the conclusions.
     again = tukey_hsd_pvalues(sm, cfg)
-    assert again.p_values == ss.p_values
+    assert again == ss
     print("\nsame seed, same p-values: reproducible by construction")
 
     rng = np.random.default_rng(1)
@@ -50,9 +50,7 @@ def main():
     print("\ntiny 3x4 matrix, exhaustive (6^4 = 1296 assignments) vs sampled:")
     for B in (100, 1000, 10_000, 100_000):
         approx = tukey_hsd_pvalues(tiny, SigTestConfig(permutations=B, master_seed=7))
-        worst = max(
-            abs(approx.p_values[p] - exact.p_values[p]) for p in exact.pairs
-        )
+        worst = np.abs(approx.p - exact.p).max()
         print(f"  B={B:>6}: worst |sampled - exact| = {worst:.5f}")
 
 

@@ -16,7 +16,7 @@ pipeline never needs it.
 
 import importlib
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 _EXPORTS = {
     "errors": ("ConfigurationError", "DiscrimPowerError", "ParseError", "ValidationError"),

@@ -18,7 +18,6 @@ can distinguish "no evidence" from "all wrong".
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -28,8 +27,6 @@ from .errors import ConfigurationError, ValidationError
 from .measures import _union_judgments
 from .significance import SignificanceSet
 from .trec import Qrels
-
-Pair = tuple[str, str]
 
 
 @dataclass(frozen=True)
@@ -54,11 +51,9 @@ class ConfusionCounts:
         return self.tn + self.fp
 
 
-def _error_class(sig_gt: bool, sig_cand: bool) -> str:
-    """The candidate's call on one pair, scored against the truth's: TP, FN, FP or TN."""
-    if sig_gt:
-        return "TP" if sig_cand else "FN"
-    return "FP" if sig_cand else "TN"
+def _error_class(sig_gt: np.ndarray, sig_cand: np.ndarray) -> np.ndarray:
+    """The candidate's call on each pair, scored against the truth's: TN, FP, FN or TP."""
+    return np.array(["TN", "FP", "FN", "TP"])[2 * sig_gt + sig_cand]
 
 
 def confusion(gt: SignificanceSet, cand: SignificanceSet) -> ConfusionCounts:
@@ -67,16 +62,16 @@ def confusion(gt: SignificanceSet, cand: SignificanceSet) -> ConfusionCounts:
     Both sets must cover exactly the same system pairs; a mismatch means
     the two tests were not run on the same runs.
     """
-    if gt.significant.keys() != cand.significant.keys():
-        gt_pairs, cand_pairs = set(gt.significant), set(cand.significant)
+    if gt.pairs != cand.pairs:
+        gt_pairs, cand_pairs = set(gt.pairs), set(cand.pairs)
         raise ValidationError(
             "pair universes differ between ground truth and candidate: "
             f"only in ground truth {sorted(gt_pairs - cand_pairs)}, "
             f"only in candidate {sorted(cand_pairs - gt_pairs)}"
         )
-    outcomes = Counter(_error_class(sig, cand.significant[p]) for p, sig in gt.significant.items())
-    return ConfusionCounts(tp=outcomes["TP"], tn=outcomes["TN"], fp=outcomes["FP"],
-                           fn=outcomes["FN"])
+    # Indexed as _error_class indexes its names.
+    tn, fp, fn, tp = np.bincount(2 * gt.significant + cand.significant, minlength=4).tolist()
+    return ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn)
 
 
 def _ratio(num: int, denom: int) -> Optional[float]:
@@ -122,10 +117,9 @@ def mcc(c: ConfusionCounts) -> tuple[float, bool]:
 
 def sensitivity(ss: SignificanceSet) -> Optional[float]:
     """Fraction of all pairs the test calls significant."""
-    total = len(ss.significant)
-    if total == 0:
+    if not ss.pairs:
         return None
-    return sum(ss.significant.values()) / total
+    return int(np.count_nonzero(ss.significant)) / len(ss.pairs)
 
 
 def delta_sensitivity(gt: SignificanceSet, cand: SignificanceSet) -> Optional[float]:
@@ -193,22 +187,12 @@ def kendall_tau(
     m = len(tags)
     if m < 2:
         raise ConfigurationError("rank correlation needs at least two systems")
-    xs = [means_gt[t] for t in tags]
-    ys = [means_cand[t] for t in tags]
-
-    concordant = discordant = ties_x = ties_y = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            dx = (xs[i] > xs[j]) - (xs[i] < xs[j])
-            dy = (ys[i] > ys[j]) - (ys[i] < ys[j])
-            if dx == 0:
-                ties_x += 1
-            if dy == 0:
-                ties_y += 1
-            if dx * dy > 0:
-                concordant += 1
-            elif dx * dy < 0:
-                discordant += 1
+    xs, ys = (np.array([means[t] for t in tags]) for means in (means_gt, means_cand))
+    i, j = np.triu_indices(m, 1)
+    # (x > y) - (x < y), so a NaN mean ties with every other.
+    dx, dy = ((v[i] > v[j]).astype(int) - (v[i] < v[j]) for v in (xs, ys))
+    concordant, discordant, ties_x, ties_y = (int(np.count_nonzero(d)) for d in (
+        dx * dy > 0, dx * dy < 0, dx == 0, dy == 0))
     n0 = m * (m - 1) // 2
     denom_sq = (n0 - ties_x) * (n0 - ties_y)
     if denom_sq == 0:

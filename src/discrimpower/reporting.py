@@ -144,24 +144,12 @@ def _tested(gt_matrix: ScoreMatrix, scored: list, sig_cfg: SigTestConfig) -> lis
 
 def pair_rows(cmp: Comparison) -> list[dict]:
     """One row per system pair: means, p-values, and the error class."""
-    rows = []
-    for a, b in cmp.gt_ss.pairs:
-        sig_gt = cmp.gt_ss.significant[(a, b)]
-        sig_cand = cmp.cand_ss.significant[(a, b)]
-        rows.append({
-            "system_a": a,
-            "system_b": b,
-            "mean_gt_a": cmp.means_gt[a],
-            "mean_gt_b": cmp.means_gt[b],
-            "mean_cand_a": cmp.means_cand[a],
-            "mean_cand_b": cmp.means_cand[b],
-            "p_gt": cmp.gt_ss.p_values[(a, b)],
-            "p_cand": cmp.cand_ss.p_values[(a, b)],
-            "sig_gt": sig_gt,
-            "sig_cand": sig_cand,
-            "error_class": _error_class(sig_gt, sig_cand),
-        })
-    return rows
+    gt, cand = cmp.gt_ss, cmp.cand_ss
+    return [dict(zip(PAIR_COLUMNS, (a, b, cmp.means_gt[a], cmp.means_gt[b], cmp.means_cand[a],
+                                    cmp.means_cand[b], *cells)))
+            for (a, b), *cells in zip(gt.pairs, gt.p.tolist(), cand.p.tolist(),
+                                      gt.significant.tolist(), cand.significant.tolist(),
+                                      _error_class(gt.significant, cand.significant).tolist())]
 
 
 def report_row(report: DiscrimReport, dataset: str, qrels_name: str) -> dict:

@@ -11,9 +11,11 @@ difference.
 Both modes run one kernel over blocks of ``_BLOCK`` = 1024 iterations.
 Sampled mode draws topic ``t``'s permutations for every iteration of
 block ``k`` from one counter-based stream keyed on ``(master_seed, k,
-t)``; exhaustive mode takes block ``k``'s slice of the (m!)^n
-within-topic assignments in ``itertools.product`` order. Workers split
-the run on block boundaries only and return, per pair, how many of their
+t)``; exhaustive mode takes block ``k``'s slice of the (m!)^(n-1)
+within-topic assignments that keep topic 0 in place, in
+``itertools.product`` order: one relabelling of the slots in every topic
+keeps HSD*, so their ratio is that of all (m!)^n. Workers split the run
+on block boundaries only and return, per pair, how many of their
 iterations reach its observed gap. Integer sums are exact in any order,
 so p-values are bit-identical for a fixed seed whatever the execution
 order or worker count. A short last block draws only the rows it uses;
@@ -33,7 +35,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -82,27 +83,29 @@ class SigTestConfig:
 class SignificanceSet:
     """P-values and the significant / non-significant pair partition.
 
-    Pairs are unordered and stored with lexicographically sorted tags. A
-    pair is significant when ``p < alpha``, or ``p <= alpha`` with
+    ``pairs`` lists the unordered pairs, each with lexicographically sorted
+    tags, in sorted order; ``p[i]`` is the p-value of ``pairs[i]``. A pair
+    is significant when ``p < alpha``, or ``p <= alpha`` with
     ``alpha_inclusive``, as ``SigTestConfig`` sets the rule.
     """
 
     alpha: float
-    p_values: dict[tuple[str, str], float]
+    pairs: list[tuple[str, str]]
+    p: np.ndarray
     alpha_inclusive: bool = False
-    significant: dict[tuple[str, str], bool] = field(init=False)
+    significant: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        below = operator.le if self.alpha_inclusive else operator.lt
-        self.significant = {p: below(v, self.alpha) for p, v in self.p_values.items()}
+        self.significant = (np.less_equal if self.alpha_inclusive else np.less)(self.p, self.alpha)
+
+    def __eq__(self, other):  # the generated one compares ``p`` as an array
+        return (isinstance(other, SignificanceSet) and np.array_equal(self.p, other.p)
+                and (self.alpha, self.alpha_inclusive, self.pairs)
+                == (other.alpha, other.alpha_inclusive, other.pairs))
 
     @property
-    def pairs(self) -> list[tuple[str, str]]:
-        return sorted(self.p_values)
-
-
-def _pair_key(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
+    def p_values(self) -> dict[tuple[str, str], float]:
+        return dict(zip(self.pairs, self.p.tolist()))
 
 
 def _block_stream(master_seed: int, block: int, topic: int) -> np.random.Generator:
@@ -197,7 +200,7 @@ def _draw(m: int, n: int, cfg: SigTestConfig):
     """The draw function and the iteration count of a test of (m, n) matrices."""
     if cfg.mode == SAMPLED:
         return functools.partial(_sampled_draw, cfg.master_seed, m), cfg.permutations
-    total = math.factorial(m) ** n
+    total = math.factorial(m) ** (n - 1)
     if total > _EXHAUSTIVE_CAP:
         raise ConfigurationError(
             f"exhaustive enumeration needs {total} assignments, above the cap "
@@ -212,8 +215,8 @@ def tukey_hsd_pvalues(sm: ScoreMatrix, cfg: SigTestConfig = SigTestConfig()) -> 
 
     Sampled mode uses the add-one Monte-Carlo convention
     ``p = (1 + #{HSD* >= |diff|}) / (1 + B)``, which keeps p-values in
-    (0, 1]. Exhaustive mode enumerates every assignment and returns the
-    exact ratio.
+    (0, 1]. Exhaustive mode enumerates one assignment per relabelling of
+    the systems and returns the exact ratio.
     """
     return _tukey_many([sm], cfg)[0]
 
@@ -251,7 +254,7 @@ def _significance_set(tags: Sequence[str], counts: np.ndarray, total: int, add: 
                       cfg: SigTestConfig) -> SignificanceSet:
     """The p-values of the pairs of ``tags`` from their exceedance ``counts``."""
     first, second = np.triu_indices(len(tags), 1)
-    denom = total + add
-    p_values = {_pair_key(tags[i], tags[j]): (count + add) / denom
-                for i, j, count in zip(first.tolist(), second.tolist(), counts.tolist())}
-    return SignificanceSet(cfg.alpha, p_values, cfg.alpha_inclusive)
+    pairs = [tuple(sorted((tags[i], tags[j]))) for i, j in zip(first.tolist(), second.tolist())]
+    order = sorted(range(len(pairs)), key=pairs.__getitem__)
+    return SignificanceSet(cfg.alpha, [pairs[k] for k in order],
+                           (counts[order] + add) / (total + add), cfg.alpha_inclusive)

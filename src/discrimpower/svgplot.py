@@ -32,6 +32,9 @@ METRIC_LABELS = {
 }
 COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 _TICKS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)  # on each [0, 1] axis
+# The characters XML 1.0 forbids, which a run tag may hold, each become U+FFFD.
+_NOT_XML = dict.fromkeys([*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF],
+                         "\ufffd")
 
 SCATTER_COLUMNS = (
     "system_a", "system_b",
@@ -195,7 +198,7 @@ def render_scatter(rows: Sequence[dict]) -> str:
         )
         parts.append(
             f'<text x="{_fmt(cv.sx(x) + 8)}" y="{_fmt(cv.sy(y) - 6)}" '
-            f'font-family="sans-serif" font-size="11">{escape(tag)}</text>'
+            f'font-family="sans-serif" font-size="11">{escape(tag.translate(_NOT_XML))}</text>'
         )
     parts += _legend([("diagonal (agree)", "#999", "4 3"), ("FP pair", "#d62728", "6 3"),
                       ("FN pair", "#1f77b4", "6 3")])

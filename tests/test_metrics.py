@@ -23,10 +23,8 @@ from discrimpower.trec import CANDIDATE, Qrels
 
 
 def sigset(significant_pairs, all_pairs, alpha=0.05):
-    p_values = {
-        pair: 0.01 if pair in significant_pairs else 0.5 for pair in all_pairs
-    }
-    return SignificanceSet(alpha=alpha, p_values=p_values)
+    p = np.array([0.01 if pair in significant_pairs else 0.5 for pair in all_pairs])
+    return SignificanceSet(alpha=alpha, pairs=list(all_pairs), p=p)
 
 
 PAIRS = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]

@@ -1,12 +1,20 @@
 import dataclasses
 import json
+import math
+import operator
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discrimpower import reporting, significance
 from discrimpower.errors import ConfigurationError, ValidationError
+from discrimpower.metrics import ConfusionCounts, confusion, kendall_tau, sensitivity
 from discrimpower.reporting import (
     PAIR_COLUMNS,
+    Comparison,
     REPORT_COLUMNS,
     SWEEP_COLUMNS,
     SWEEP_METRICS,
@@ -59,10 +67,11 @@ def test_pair_rows_consistent_with_confusion(identity_cmp):
     assert by_class.get("TN", 0) == counts.tn
     assert by_class.get("FP", 0) == counts.fp
     assert by_class.get("FN", 0) == counts.fn
-    for row in rows:
-        key = (row["system_a"], row["system_b"])
-        assert row["p_gt"] == identity_cmp.gt_ss.p_values[key]
-        assert row["sig_gt"] == identity_cmp.gt_ss.significant[key]
+    gt_ss = identity_cmp.gt_ss
+    for row, pair, p, sig in zip(rows, gt_ss.pairs, gt_ss.p, gt_ss.significant):
+        assert (row["system_a"], row["system_b"]) == pair
+        assert row["p_gt"] == p
+        assert row["sig_gt"] == sig
         assert row["mean_gt_a"] == identity_cmp.means_gt[row["system_a"]]
 
 
@@ -289,3 +298,110 @@ def test_sweep_csv_layout(mini):
     summary_lines = sweep_summary_to_csv(sr).splitlines()
     assert summary_lines[0].startswith("fraction,kappa_mean,kappa_var,kappa_n,")
     assert len(summary_lines) == 2
+
+
+# The dict-based forms that the array form of SignificanceSet replaced, kept
+# as references: per-pair dicts keyed by sorted tag pairs, looked up pair by pair.
+
+def dict_significance(tags, counts, total, add, alpha, alpha_inclusive):
+    p_values = {}
+    for (i, j), count in zip(zip(*np.triu_indices(len(tags), 1)), counts):
+        a, b = tags[i], tags[j]
+        p_values[(a, b) if a <= b else (b, a)] = (int(count) + add) / (total + add)
+    below = operator.le if alpha_inclusive else operator.lt
+    return p_values, {pair: below(p, alpha) for pair, p in p_values.items()}
+
+
+def dict_error_class(sig_gt, sig_cand):
+    if sig_gt:
+        return "TP" if sig_cand else "FN"
+    return "FP" if sig_cand else "TN"
+
+
+def dict_confusion(sig_gt, sig_cand):
+    outcomes = Counter(dict_error_class(sig, sig_cand[pair]) for pair, sig in sig_gt.items())
+    return ConfusionCounts(tp=outcomes["TP"], tn=outcomes["TN"], fp=outcomes["FP"],
+                           fn=outcomes["FN"])
+
+
+def dict_pair_rows(gt, cand, means_gt, means_cand):
+    (p_gt, sig_gt), (p_cand, sig_cand) = gt, cand
+    return [{
+        "system_a": a, "system_b": b,
+        "mean_gt_a": means_gt[a], "mean_gt_b": means_gt[b],
+        "mean_cand_a": means_cand[a], "mean_cand_b": means_cand[b],
+        "p_gt": p_gt[(a, b)], "p_cand": p_cand[(a, b)],
+        "sig_gt": sig_gt[(a, b)], "sig_cand": sig_cand[(a, b)],
+        "error_class": dict_error_class(sig_gt[(a, b)], sig_cand[(a, b)]),
+    } for a, b in sorted(p_gt)]
+
+
+def dict_kendall_tau(means_gt, means_cand):
+    tags = sorted(means_gt)
+    m = len(tags)
+    xs = [means_gt[t] for t in tags]
+    ys = [means_cand[t] for t in tags]
+    concordant = discordant = ties_x = ties_y = 0
+    for i in range(m):
+        for j in range(i + 1, m):
+            dx = (xs[i] > xs[j]) - (xs[i] < xs[j])
+            dy = (ys[i] > ys[j]) - (ys[i] < ys[j])
+            ties_x += dx == 0
+            ties_y += dy == 0
+            concordant += dx * dy > 0
+            discordant += dx * dy < 0
+    n0 = m * (m - 1) // 2
+    denom_sq = (n0 - ties_x) * (n0 - ties_y)
+    if denom_sq == 0:
+        return None
+    root = math.isqrt(denom_sq)
+    denom = root if root * root == denom_sq else math.sqrt(denom_sq)
+    return (concordant - discordant) / denom
+
+
+_MEANS = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_array_form_matches_the_dict_reference(data):
+    m = data.draw(st.integers(2, 9))
+    tags = data.draw(st.permutations(data.draw(st.lists(st.text(max_size=2), min_size=m,
+                                                        max_size=m, unique=True))))
+    total = data.draw(st.integers(1, 40))
+    add = data.draw(st.integers(0, 1))
+    counts = [np.array(data.draw(st.lists(st.integers(0, total), min_size=m * (m - 1) // 2,
+                                          max_size=m * (m - 1) // 2))) for _ in "gc"]
+    # Half the time alpha is a reachable p-value, on the boundary of both rules.
+    on_p = (data.draw(st.integers(0, total)) + add) / (total + add)
+    alpha = on_p if 0.0 < on_p < 1.0 and data.draw(st.booleans()) else data.draw(
+        st.floats(0.001, 0.999))
+    cfg = SigTestConfig(alpha=alpha, alpha_inclusive=data.draw(st.booleans()))
+    gt, cand = (significance._significance_set(tags, c, total, add, cfg) for c in counts)
+    ref_gt, ref_cand = (dict_significance(tags, c, total, add, alpha, cfg.alpha_inclusive)
+                        for c in counts)
+
+    means_gt = dict(zip(tags, data.draw(st.lists(_MEANS, min_size=m, max_size=m))))
+    ranking = data.draw(st.sampled_from(["drawn", "same", "reversed"]))
+    if ranking == "drawn":
+        means_cand = dict(zip(tags, data.draw(st.lists(_MEANS, min_size=m, max_size=m))))
+    elif ranking == "same":
+        means_cand = dict(means_gt)
+    else:
+        means_cand = dict(zip(sorted(tags, key=means_gt.get),
+                              sorted(means_gt.values(), reverse=True)))
+
+    assert gt.pairs == sorted(ref_gt[0])
+    assert gt.p_values == ref_gt[0]
+    assert confusion(gt, cand) == dict_confusion(ref_gt[1], ref_cand[1])
+    sens = sensitivity(gt)
+    assert type(sens) is float and sens == sum(ref_gt[1].values()) / len(ref_gt[1])
+    rows = pair_rows(Comparison(None, None, means_gt, means_cand, gt, cand, None))
+    ref_rows = dict_pair_rows(ref_gt, ref_cand, means_gt, means_cand)
+    assert [list(row.items()) for row in rows] == [list(row.items()) for row in ref_rows]
+    assert ([[type(v) for v in row.values()] for row in rows]
+            == [[type(v) for v in row.values()] for row in ref_rows])
+    assert repr(kendall_tau(means_gt, means_cand)) == repr(dict_kendall_tau(means_gt, means_cand))
+    # A NaN mean ties with every other, as the comparisons make it.
+    with_nan = {**means_gt, tags[0]: math.nan}
+    assert repr(kendall_tau(with_nan, means_cand)) == repr(dict_kendall_tau(with_nan, means_cand))

@@ -1,5 +1,6 @@
 import concurrent.futures.process  # the pool's modules load before a test traces memory
 import dataclasses
+import functools
 import itertools
 import math
 import tracemalloc
@@ -135,24 +136,60 @@ def test_exhaustive_batch_of_mixed_shapes_equals_one_matrix_calls():
 
 
 def test_exhaustive_null_is_product_order_at_any_worker_count():
-    # 6**4 = 1,296 assignments fill two blocks, so two workers split them.
-    values = np.random.default_rng(25).random((3, 4))
+    # 3 x 5: the 6**4 = 1,296 assignments that keep topic 0 in place lead the
+    # product order and fill two blocks, so two workers split them.
+    values = np.random.default_rng(25).random((3, 5))
     cfg = SigTestConfig(mode=EXHAUSTIVE)
     whole = null_of(values[None], cfg)[0]
     split = np.concatenate([null_of(values[None], cfg, 0, 1)[0],
                             null_of(values[None], cfg, 1, 2)[0]])
-    assert whole.tobytes() == split.tobytes() == np.array(brute_null(values)[0]).tobytes()
+    prefix = brute_null(values)[0][:6 ** 4]
+    assert whole.tobytes() == split.tobytes() == np.array(prefix).tobytes()
     one, two, three = (tukey_hsd_pvalues(matrix(values), dataclasses.replace(cfg, n_workers=w))
                        for w in (1, 2, 3))
     assert one == two == three
+    full = brute_exhaustive(values)  # over all 6**5 assignments
+    assert one.p.tolist() == [full[pair] for pair in ((0, 1), (0, 2), (1, 2))]
+
+
+def full_counts(values):
+    """Per pair, how many of all (m!)^n assignments reach its observed gap."""
+    m, n = values.shape
+    rows = np.array(list(itertools.permutations(range(m))), dtype=np.intp)
+    total = math.factorial(m) ** n
+    draw = functools.partial(significance._exhaustive_draw, rows, n)
+    return significance._counts(values[None], draw, 0, -(-total // BLOCK), total)[0]
+
+
+@st.composite
+def enumerable_matrices(draw, max_cells=6 ** 7):
+    """An m x n matrix, m <= 5, of tied scores whose (m!)^n assignments are
+    at most ``max_cells``."""
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(1, max(n for n in range(1, 20) if math.factorial(m) ** n <= max_cells)))
+    values = np.array(draw(st.lists(st.lists(_SCORES, min_size=n, max_size=n),
+                                    min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        values[1] = values[0]
+    return values
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(values=enumerable_matrices())
+def test_full_enumeration_counts_are_m_factorial_times_exhaustive_counts(values):
+    m, n = values.shape
+    draw, total = _draw(m, n, SigTestConfig(mode=EXHAUSTIVE))
+    assert total == math.factorial(m) ** (n - 1)
+    counts = significance._counts(values[None], draw, 0, -(-total // BLOCK), total)[0]
+    assert full_counts(values).tolist() == (math.factorial(m) * counts).tolist()
 
 
 def test_workers_send_counts_not_the_null():
-    # Exhaustive 3 x 7: 6**7 = 279,936 assignments, a 2.2 MB null that two
+    # Exhaustive 3 x 8: 6**7 = 279,936 assignments, a 2.2 MB null that two
     # workers split. The parent holds only their per-pair counts.
-    values = np.random.default_rng(27).random((3, 7))
+    values = np.random.default_rng(27).random((3, 8))
     cfg = SigTestConfig(mode=EXHAUSTIVE, n_workers=2)
-    null_bytes = math.factorial(3) ** 7 * 8
+    null_bytes = _draw(3, 8, cfg)[1] * 8
     tracemalloc.start()
     try:
         two = _tukey_many([matrix(values)], cfg)
@@ -390,8 +427,9 @@ def test_larger_gap_means_smaller_or_equal_p():
 
 
 def test_alpha_and_partition():
-    ss = SignificanceSet(alpha=0.05, p_values={("a", "b"): 0.01, ("a", "c"): 0.5})
-    assert ss.significant == {("a", "b"): True, ("a", "c"): False}
+    ss = SignificanceSet(alpha=0.05, pairs=[("a", "b"), ("a", "c")], p=np.array([0.01, 0.5]))
+    assert ss.significant.tolist() == [True, False]
+    assert ss.p_values == {("a", "b"): 0.01, ("a", "c"): 0.5}
 
 
 def test_alpha_inclusive_boundary():
@@ -409,25 +447,28 @@ def test_alpha_inclusive_boundary():
         sm,
         SigTestConfig(permutations=200, master_seed=4, alpha=p, alpha_inclusive=True),
     )
-    assert strict.significant[("a", "b")] is False
-    assert inclusive.significant[("a", "b")] is True
+    assert strict.significant.tolist() == [False]
+    assert inclusive.significant.tolist() == [True]
 
     # Direct construction defaults to the strict rule as well, and follows
     # the inclusive one when asked.
-    ss = SignificanceSet(alpha=0.05, p_values={("a", "b"): 0.05})
-    assert ss.significant[("a", "b")] is False
-    ss = SignificanceSet(0.05, {("a", "b"): 0.05}, alpha_inclusive=True)
-    assert ss.significant[("a", "b")] is True
+    ss = SignificanceSet(alpha=0.05, pairs=[("a", "b")], p=np.array([0.05]))
+    assert ss.significant.tolist() == [False]
+    ss = SignificanceSet(0.05, [("a", "b")], np.array([0.05]), alpha_inclusive=True)
+    assert ss.significant.tolist() == [True]
 
 
 def test_exhaustive_cap():
-    # 24**6 assignments exceed the 10,000,000 cap; the test refuses before
-    # it enumerates any.
+    # 4 x 7: 24**6 assignments, one per relabelling of the 24**7, exceed the
+    # 10,000,000 cap; the test refuses before it enumerates any.
     rng = np.random.default_rng(0)
-    sm = matrix(rng.random((4, 6)))
+    sm = matrix(rng.random((4, 7)))
+    cfg = SigTestConfig(mode=EXHAUSTIVE)
     with pytest.raises(ConfigurationError,
                        match="needs 191102976 assignments, above the cap of 10000000; use "):
-        tukey_hsd_pvalues(sm, SigTestConfig(mode=EXHAUSTIVE))
+        tukey_hsd_pvalues(sm, cfg)
+    for m, n in ((4, 6), (3, 9), (5, 4)):  # above the cap on (m!)^n, within it now
+        assert _draw(m, n, cfg)[1] == math.factorial(m) ** (n - 1) <= 10_000_000
 
 
 def test_config_validation():

@@ -208,3 +208,11 @@ def test_scatter_escapes_run_tags():
     svg = ET.fromstring(render_scatter(rows))
     texts = {text.text for text in svg.iter("{http://www.w3.org/2000/svg}text")}
     assert {"a&b", "<c>"} <= texts
+
+
+def test_scatter_replaces_characters_xml_forbids():
+    forbidden = "".join(map(chr, [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF]))
+    rows = [{**scatter_rows()[0], "system_a": "a\x01b", "system_b": "\t" + forbidden}]
+    svg = ET.fromstring(render_scatter(rows))
+    texts = {text.text for text in svg.iter("{http://www.w3.org/2000/svg}text")}
+    assert {"a\ufffdb", "\t" + "\ufffd" * len(forbidden)} <= texts
