@@ -47,7 +47,8 @@ def main():
         values=rng.random((3, 4)),
     )
     exact = tukey_hsd_pvalues(tiny, SigTestConfig(mode=EXHAUSTIVE))
-    print("\ntiny 3x4 matrix, exhaustive (6^4 = 1296 assignments) vs sampled:")
+    print("\ntiny 3x4 matrix, exhaustive (6^3 = 216 of the 6^4 = 1296 assignments,"
+          " topic 0 held in place) vs sampled:")
     for B in (100, 1000, 10_000, 100_000):
         approx = tukey_hsd_pvalues(tiny, SigTestConfig(permutations=B, master_seed=7))
         worst = np.abs(approx.p - exact.p).max()

@@ -16,7 +16,7 @@ pipeline never needs it.
 
 import importlib
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 _EXPORTS = {
     "errors": ("ConfigurationError", "DiscrimPowerError", "ParseError", "ValidationError"),
@@ -34,8 +34,8 @@ _EXPORTS = {
     "svgplot": ("render_scatter", "render_sweep"),
     "synth": ("PopularityConfig", "SamplingConfig", "percentage_sample", "popularity_biased"),
     "trec": ("Qrels", "Ranking", "RunSet", "load_qrels", "load_run", "load_runs",
-             "load_runs_dir", "merge_runs", "parse_qrels", "parse_run", "save_qrels",
-             "serialize_qrels", "serialize_run"),
+             "load_runs_dir", "parse_qrels", "parse_run", "save_qrels", "serialize_qrels",
+             "serialize_run"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

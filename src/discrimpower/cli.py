@@ -33,10 +33,9 @@ from .errors import ConfigurationError, DiscrimPowerError
 from .trec import (
     CANDIDATE,
     GROUND_TRUTH,
-    _load_qrels,
-    _load_runs,
-    _load_runs_dir,
     load_qrels,
+    load_runs,
+    load_runs_dir,
     serialize_qrels,
     write_atomic,
 )
@@ -273,9 +272,9 @@ def _load_inputs(opts: dict, depth: int, *qrels: tuple[str, str]) -> tuple:
     if not runs_dir and not run_list:
         raise ConfigurationError("no runs given: use --runs-dir or --run")
     ids: dict[str, str] = {}
-    load = _load_runs_dir if runs_dir else _load_runs
-    return (load(runs_dir or run_list, opts["tag_from_filename"], depth, ids),
-            *(_load_qrels(opts[key], opts["max_grade"], role, ids) for key, role in qrels))
+    load = load_runs_dir if runs_dir else load_runs
+    return (load(runs_dir or run_list, opts["tag_from_filename"], depth, _ids=ids),
+            *(load_qrels(opts[key], opts["max_grade"], role, _ids=ids) for key, role in qrels))
 
 
 def _measure_spec(opts: dict):

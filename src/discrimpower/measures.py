@@ -31,13 +31,10 @@ EXPONENTIAL = "exponential"
 class MeasureSpec:
     """Evaluation measure identity: nDCG with a rank cutoff and gain."""
 
-    name: str = "ndcg"
     k: int = 10
     gain: str = LINEAR
 
     def __post_init__(self):
-        if self.name != "ndcg":
-            raise ConfigurationError(f"unsupported measure {self.name!r}")
         if self.k < 1:
             raise ConfigurationError(f"cutoff k must be >= 1, got {self.k}")
         if self.gain not in (LINEAR, EXPONENTIAL):

@@ -219,7 +219,7 @@ def run_sweep(
     kappa_threshold: int = 2,
     relevant_threshold: int = 1,
     stratified: bool = False,
-    n_workers: int = 1,
+    n_workers: int | None = None,
 ) -> SweepResult:
     """Compare a percentage sample against the truth for every cell.
 
@@ -229,8 +229,8 @@ def run_sweep(
     in sorted key order, sampled, scored and compared exactly as
     ``percentage_sample``, ``score_matrix`` and ``cohen_kappa`` would.
     Then one batched significance test covers the ground truth and every
-    cell, and the rows are built in the same order. ``n_workers``
-    replaces ``sig_cfg.n_workers`` for that test; it splits its
+    cell, and the rows are built in the same order. ``n_workers``, when
+    given, replaces ``sig_cfg.n_workers`` for that test; it splits its
     iterations across workers on 1024-iteration blocks, so the worker
     count changes only wall time, never results.
     """
@@ -238,8 +238,10 @@ def run_sweep(
 
     configs = _sampling_configs(fractions, repetitions, master_seed, relevant_threshold,
                                 stratified)
+    if n_workers is not None:
+        sig_cfg = dataclasses.replace(sig_cfg, n_workers=n_workers)
     scores = _sweep_scores(_GradeIndex(runs, spec.k, gt_qrels), configs, spec, kappa_threshold)
-    return _swept(configs, _tested(*scores, dataclasses.replace(sig_cfg, n_workers=n_workers)))
+    return _swept(configs, _tested(*scores, sig_cfg))
 
 
 def _sweep_scores(index: _GradeIndex, configs: list, spec: MeasureSpec,

@@ -96,6 +96,7 @@ class SignificanceSet:
     significant: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        self.p = np.asarray(self.p, dtype=float)
         self.significant = (np.less_equal if self.alpha_inclusive else np.less)(self.p, self.alpha)
 
     def __eq__(self, other):  # the generated one compares ``p`` as an array

@@ -118,7 +118,8 @@ def _iter_lines(source) -> Iterator[str]:
     return iter(source)  # file object or any iterable of lines
 
 
-def parse_run(source, system_tag_override: str | None = None) -> RunSet:
+def parse_run(source, system_tag_override: str | None = None, *,
+              _ids: dict[str, str] | None = None, _depth: int | None = None) -> RunSet:
     """Parse one system's TREC run file.
 
     The tag column (or ``system_tag_override``) becomes the system tag.
@@ -129,14 +130,10 @@ def parse_run(source, system_tag_override: str | None = None) -> RunSet:
     :class:`ValidationError` for duplicate documents within a topic or
     for files mixing several system tags without an override.
     """
-    return _parse_run(source, system_tag_override, {}, None)
-
-
-def _parse_run(source, system_tag_override: str | None, ids: dict[str, str],
-               depth: int | None) -> RunSet:
-    # ``ids`` maps each topic and kept doc id to the one string kept for it
-    # across a load. Every line is checked; only the first ``depth`` of each
-    # sorted topic are kept.
+    # ``_ids`` maps each topic and kept doc id to the one string kept for it
+    # across a load; None starts a new pool. Every line is checked; only the
+    # first ``_depth`` of each sorted topic are kept.
+    ids = {} if _ids is None else _ids
     tag_seen: str | None = None
     topics: dict[str, dict[str, float]] = {}
     topic_seen: str | None = None
@@ -180,13 +177,14 @@ def _parse_run(source, system_tag_override: str | None, ids: dict[str, str],
     rankings = {}
     for topic, docs in topics.items():
         # Sorting (score, doc_id) pairs descending breaks ties on doc_id.
-        scores, doc_ids = zip(*sorted(zip(docs.values(), docs.keys()), reverse=True)[:depth])
+        scores, doc_ids = zip(*sorted(zip(docs.values(), docs.keys()), reverse=True)[:_depth])
         rankings[ids.setdefault(topic, topic)] = Ranking(map(ids.setdefault, doc_ids, doc_ids),
                                                          scores)
     return RunSet({tag_seen: rankings})
 
 
-def parse_qrels(source, max_grade: int = 3, role: str = GROUND_TRUTH) -> Qrels:
+def parse_qrels(source, max_grade: int = 3, role: str = GROUND_TRUTH, *,
+                _ids: dict[str, str] | None = None) -> Qrels:
     """Parse a TREC qrels file.
 
     The second (iteration) column is ignored. Negative grades are clamped
@@ -194,11 +192,9 @@ def parse_qrels(source, max_grade: int = 3, role: str = GROUND_TRUTH) -> Qrels:
     are rejected, and a negative ``max_grade`` is a
     :class:`ConfigurationError`.
     """
-    return _parse_qrels(source, max_grade, role, {})
-
-
-def _parse_qrels(source, max_grade: int, role: str, ids: dict[str, str]) -> Qrels:
-    # ``ids`` maps each topic and doc id to the one string kept for it in a load.
+    # ``_ids`` maps each topic and doc id to the one string kept for it in a
+    # load; None starts a new pool.
+    ids = {} if _ids is None else _ids
     if max_grade < 0:
         raise ConfigurationError(f"max_grade must be >= 0, got {max_grade}")
     judgments: dict[tuple[str, str], int] = {}
@@ -312,17 +308,6 @@ def _sweep_summary(cell_fractions: Sequence[float], columns: dict, fractions) ->
     return summary
 
 
-def merge_runs(fragments: Iterable[RunSet]) -> RunSet:
-    """Combine single-system fragments; duplicate tags are an error."""
-    combined: dict[str, dict[str, Ranking]] = {}
-    for fragment in fragments:
-        for tag, topics in fragment.runs.items():
-            if tag in combined:
-                raise ValidationError(f"duplicate system tag {tag!r} across run files")
-            combined[tag] = topics
-    return RunSet(combined)
-
-
 def _undecodable_line(path) -> ParseError | None:
     # The text reader reports a position inside its current chunk, so the
     # error path reads the file again as bytes to find the line. Lines end
@@ -351,17 +336,13 @@ def _naming(path):
         raise error from exc
 
 
-def _load_run(path: Path, override: str | None, ids: dict[str, str],
-              depth: int | None) -> RunSet:
-    with _naming(path), open(path, encoding="utf-8") as fh:
-        return _parse_run(fh, override, ids, depth)
-
-
-def load_run(path, system_tag_override: str | None = None,
-             tag_from_filename: bool = False) -> RunSet:
+def load_run(path, system_tag_override: str | None = None, tag_from_filename: bool = False,
+             *, _ids: dict[str, str] | None = None, _depth: int | None = None) -> RunSet:
     """Load one run file; errors name the file."""
     path = Path(path)
-    return _load_run(path, path.stem if tag_from_filename else system_tag_override, {}, None)
+    with _naming(path), open(path, encoding="utf-8") as fh:
+        return parse_run(fh, path.stem if tag_from_filename else system_tag_override,
+                         _ids=_ids, _depth=_depth)
 
 
 def _check_depth(depth: int | None) -> None:
@@ -369,49 +350,45 @@ def _check_depth(depth: int | None) -> None:
         raise ConfigurationError(f"depth must be >= 1, got {depth}")
 
 
-def load_runs(paths, tag_from_filename: bool = False, depth: int | None = None) -> RunSet:
+def load_runs(paths, tag_from_filename: bool = False, depth: int | None = None, *,
+              _ids: dict[str, str] | None = None) -> RunSet:
     """Load an explicit list of run files, one system per file.
 
     With ``depth``, each topic keeps only its first ``depth`` documents
-    after sorting; every line is still read and checked.
+    after sorting; every line is still read and checked. A tag found in
+    two files is a :class:`ValidationError`.
     """
-    return _load_runs(paths, tag_from_filename, depth, {})
-
-
-def _load_runs(paths, tag_from_filename: bool, depth: int | None,
-               ids: dict[str, str]) -> RunSet:
     _check_depth(depth)
     paths = [Path(p) for p in paths]
     if not paths:
         raise ValidationError("no run files given")
-    return merge_runs(_load_run(p, p.stem if tag_from_filename else None, ids, depth)
-                      for p in paths)
+    ids = {} if _ids is None else _ids
+    combined: dict[str, dict[str, Ranking]] = {}
+    for runset in (load_run(p, tag_from_filename=tag_from_filename, _ids=ids, _depth=depth)
+                   for p in paths):
+        for tag, topics in runset.runs.items():
+            if tag in combined:
+                raise ValidationError(f"duplicate system tag {tag!r} across run files")
+            combined[tag] = topics
+    return RunSet(combined)
 
 
-def load_runs_dir(directory, tag_from_filename: bool = False,
-                  depth: int | None = None) -> RunSet:
+def load_runs_dir(directory, tag_from_filename: bool = False, depth: int | None = None, *,
+                  _ids: dict[str, str] | None = None) -> RunSet:
     """Load every regular file in ``directory`` as one run each."""
-    return _load_runs_dir(directory, tag_from_filename, depth, {})
-
-
-def _load_runs_dir(directory, tag_from_filename: bool, depth: int | None,
-                   ids: dict[str, str]) -> RunSet:
     _check_depth(depth)
     directory = Path(directory)
     paths = sorted(p for p in directory.iterdir() if p.is_file())
     if not paths:
         raise ValidationError(f"no run files in {directory}")
-    return _load_runs(paths, tag_from_filename, depth, ids)
+    return load_runs(paths, tag_from_filename, depth, _ids=_ids)
 
 
-def load_qrels(path, max_grade: int = 3, role: str = GROUND_TRUTH) -> Qrels:
+def load_qrels(path, max_grade: int = 3, role: str = GROUND_TRUTH, *,
+               _ids: dict[str, str] | None = None) -> Qrels:
     """Load one qrels file; errors name the file."""
-    return _load_qrels(path, max_grade, role, {})
-
-
-def _load_qrels(path, max_grade: int, role: str, ids: dict[str, str]) -> Qrels:
     with _naming(path), open(path, encoding="utf-8") as fh:
-        return _parse_qrels(fh, max_grade, role, ids)
+        return parse_qrels(fh, max_grade, role, _ids=_ids)
 
 
 def write_atomic(path, text: str) -> None:

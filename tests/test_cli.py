@@ -694,12 +694,12 @@ def test_commands_load_runs_to_the_depth_they_score(workspace, tmp_path, monkeyp
                                                     args, depth):
     depths = []
 
-    def spy(directory, tag_from_filename, depth, ids):
+    def spy(directory, tag_from_filename, depth, *, _ids):
         depths.append(depth)
-        return real(directory, tag_from_filename, depth, ids)
+        return real(directory, tag_from_filename, depth, _ids=_ids)
 
-    real = cli._load_runs_dir
-    monkeypatch.setattr(cli, "_load_runs_dir", spy)
+    real = cli.load_runs_dir
+    monkeypatch.setattr(cli, "load_runs_dir", spy)
     args = [arg.format(**workspace) for arg in args]
     assert main([*args, "--runs-dir", workspace["runs_dir"], "--out-dir", str(tmp_path)]) == 0
     assert depths == [depth]

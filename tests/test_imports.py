@@ -118,7 +118,7 @@ def test_a_command_loads_no_sampling_module_it_does_not_run(tmp_path, mini_files
 
 def test_public_names_are_their_defining_modules_objects():
     names = [n for n in discrimpower.__all__ if n != "__version__"]
-    assert len(discrimpower.__all__) == 61 and len(set(names)) == 60
+    assert len(discrimpower.__all__) == 60 and len(set(names)) == 59
     for name in names:
         home = importlib.import_module(f"discrimpower.{discrimpower._MODULE_OF[name]}")
         value = getattr(discrimpower, name)

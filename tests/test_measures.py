@@ -13,7 +13,7 @@ from discrimpower.measures import (
     score_matrix,
     sequential_row_means,
 )
-from discrimpower.trec import parse_qrels, parse_run
+from discrimpower.trec import RunSet, parse_qrels, parse_run
 
 
 def brute_ndcg(ranking, judgments, k, gain):
@@ -105,9 +105,7 @@ QRELS = parse_qrels("q1 0 d1 2\nq1 0 d2 0\nq2 0 d1 1\n")
 
 
 def test_score_matrix_shapes_and_missing_topic():
-    from discrimpower.trec import merge_runs
-
-    sm = score_matrix(merge_runs([RUNS, RUNS_B]), QRELS, MeasureSpec())
+    sm = score_matrix(RunSet({**RUNS.runs, **RUNS_B.runs}), QRELS, MeasureSpec())
     assert sm.system_tags == ("A", "B")
     assert sm.topic_ids == ("q1", "q2")
     # B never ran q2: scored 0 there.
@@ -120,8 +118,6 @@ def test_score_matrix_shapes_and_missing_topic():
 def test_score_matrix_requires_overlap():
     with pytest.raises(ConfigurationError):
         score_matrix(RUNS, parse_qrels("q9 0 d1 1\n"), MeasureSpec())
-    from discrimpower.trec import RunSet
-
     with pytest.raises(ConfigurationError):
         score_matrix(RunSet(), QRELS, MeasureSpec())
 

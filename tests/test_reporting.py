@@ -29,7 +29,7 @@ from discrimpower.reporting import (
     sweep_summary_to_csv,
     sweep_to_csv,
 )
-from discrimpower.significance import SigTestConfig, _tukey_many
+from discrimpower.significance import SigTestConfig, SignificanceSet, _tukey_many
 from discrimpower.trec import CANDIDATE, Qrels
 
 FAST_SIG = SigTestConfig(permutations=1500, master_seed=0)
@@ -173,6 +173,21 @@ def test_sweep_hands_its_worker_count_to_every_test(mini, monkeypatch):
     assert seen == [(5, 2)]  # one test of the ground truth and four cells
 
 
+def test_sweep_keeps_the_configured_worker_count(mini, monkeypatch):
+    runs, qrels = mini
+    seen = []
+
+    def recording(gt_matrix, scored, sig_cfg):
+        seen.append(sig_cfg.n_workers)
+        return real(gt_matrix, scored, sig_cfg)
+
+    real = reporting._tested
+    monkeypatch.setattr(reporting, "_tested", recording)
+    run_sweep(runs, qrels, fractions=[0.5], repetitions=1,
+              sig_cfg=SigTestConfig(permutations=50, n_workers=2))
+    assert seen == [2]
+
+
 def test_compare_draws_each_block_stream_once(mini, monkeypatch):
     runs, qrels = mini
     draws = []
@@ -270,6 +285,19 @@ def test_report_json_nulls_and_full_precision(identity_cmp):
     parsed = json.loads(report_to_json([row]))
     assert parsed[0]["p1"] is None
     assert parsed[0]["kappa"] == 1 / 3  # JSON round-trips the exact double
+
+
+def test_a_significance_set_takes_its_p_values_as_a_list():
+    pairs = [("a", "b"), ("a", "c"), ("b", "c")]
+    gt = SignificanceSet(0.05, pairs, [0.01, 0.5, 0.05], alpha_inclusive=True)
+    cand = SignificanceSet(0.05, pairs, (0.2, 0.01, 0.05))
+    assert gt.p_values == {("a", "b"): 0.01, ("a", "c"): 0.5, ("b", "c"): 0.05}
+    assert gt.significant.tolist() == [True, False, True]
+    assert cand.significant.tolist() == [False, True, False]
+    means = {"a": 0.3, "b": 0.2, "c": 0.1}
+    rows = pair_rows(Comparison(None, None, means, means, gt, cand, None))
+    assert [(row["p_gt"], row["p_cand"], row["error_class"]) for row in rows] == [
+        (0.01, 0.2, "FN"), (0.5, 0.01, "FP"), (0.05, 0.05, "FN")]
 
 
 def test_pairs_csv_keeps_exact_p_values(identity_cmp):

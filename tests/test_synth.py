@@ -184,12 +184,10 @@ def test_popularity_single_run_example():
 
 
 def test_popularity_count_dominance():
-    from discrimpower.trec import merge_runs
-
     r1 = parse_run("q1 Q0 X 1 3.0 s1\nq1 Q0 Y 2 2.0 s1\n")
     r2 = parse_run("q1 Q0 X 1 3.0 s2\n")
     r3 = parse_run("q1 Q0 X 1 3.0 s3\n")
-    runs = merge_runs([r1, r2, r3])
+    runs = RunSet({**r1.runs, **r2.runs, **r3.runs})
     gt = Qrels(judgments={("q1", "X"): 0, ("q1", "Y"): 1})
     out = popularity_biased(gt, runs, PopularityConfig())
     # p_t * N_t = 1; X retrieved by 3 systems, Y by 1 -> X selected

@@ -25,7 +25,6 @@ from discrimpower.trec import (
     load_runs,
     load_qrels,
     load_runs_dir,
-    merge_runs,
     parse_qrels,
     parse_run,
     save_qrels,
@@ -229,10 +228,11 @@ def test_random_round_trips():
         assert parse_run(serialize_run(rs)) == rs
 
 
-def test_merge_runs_duplicate_tag():
-    a = parse_run("q1 Q0 d1 1 1.0 s\n")
-    with pytest.raises(ValidationError, match="s"):
-        merge_runs([a, a])
+def test_load_runs_duplicate_tag(tmp_path):
+    for name in ("a.run", "b.run"):
+        (tmp_path / name).write_text("q1 Q0 d1 1 1.0 s\n")
+    with pytest.raises(ValidationError, match="duplicate system tag 's' across run files"):
+        load_runs([tmp_path / "a.run", tmp_path / "b.run"])
 
 
 def test_load_helpers(tmp_path):
