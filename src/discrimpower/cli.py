@@ -259,12 +259,26 @@ def _write_text(path: Path, text: str):
     print(f"wrote {path}")
 
 
+def _run_cache() -> Path | None:
+    """The directory that caches each run file cut to a depth, made if missing:
+    ``$XDG_CACHE_HOME/discrimpower/runs``, else ``~/.cache/discrimpower/runs``.
+    None where it cannot be made; runs then load uncached."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    try:
+        cache = (Path(base) if os.path.isabs(base) else Path.home() / ".cache") / "discrimpower"
+        (cache / "runs").mkdir(mode=0o700, parents=True, exist_ok=True)
+    except (OSError, RuntimeError):  # RuntimeError: no home directory
+        return None
+    return cache / "runs"
+
+
 def _load_inputs(opts: dict, depth: int, *qrels: tuple[str, str]) -> tuple:
     """The run set, then the qrels file of each ``(option, role)``.
 
     A bad pair of run options is reported before any file is opened. Each
-    command keeps the ranking prefix it scores: k, or --depth. The loads
-    share one string per id through a pool that ends with this call.
+    command keeps the ranking prefix it scores: k, or --depth, and reads it
+    from the run cache where an entry holds it. The loads share one string
+    per id through a pool that ends with this call.
     """
     runs_dir, run_list = opts["runs_dir"], opts["run"]
     if runs_dir and run_list:
@@ -273,7 +287,8 @@ def _load_inputs(opts: dict, depth: int, *qrels: tuple[str, str]) -> tuple:
         raise ConfigurationError("no runs given: use --runs-dir or --run")
     ids: dict[str, str] = {}
     load = load_runs_dir if runs_dir else load_runs
-    return (load(runs_dir or run_list, opts["tag_from_filename"], depth, _ids=ids),
+    return (load(runs_dir or run_list, opts["tag_from_filename"], depth, _ids=ids,
+                 _cache=_run_cache()),
             *(load_qrels(opts[key], opts["max_grade"], role, _ids=ids) for key, role in qrels))
 
 

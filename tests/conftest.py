@@ -8,6 +8,15 @@ import pytest
 from discrimpower import build_mini_collection
 
 
+@pytest.fixture(autouse=True)
+def cache_home(tmp_path_factory, monkeypatch):
+    """Each test starts on an empty run cache of its own, never the user's:
+    ``$XDG_CACHE_HOME``. A module fixture that runs the CLI sets its own."""
+    path = tmp_path_factory.mktemp("xdg-cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(path))
+    return path
+
+
 @pytest.fixture(scope="session")
 def mini():
     """(runs, qrels): the bundled 5-system, 10-topic synthetic collection."""

@@ -354,18 +354,35 @@ def _run_error_case(root, case):
         bad.write_text("q1 Q0 d1 1 1.0 s\n")
         (runs / "copy.run").write_text("q1 Q0 d1 1 1.0 s\n")
         return ["--runs-dir", runs], 1, "error: duplicate system tag 's' across run files"
+    if case == "run-is-a-directory":
+        return ["--run", runs], 2, f"error: {runs}: Is a directory"
     assert case == "missing-run-file"
     return ["--run", bad], 2, f"error: file not found: {bad}"
+
+
+def _entries(cache_home):
+    """The run cache entries under ``$XDG_CACHE_HOME``, by name."""
+    return sorted(p.name for p in cache_home.glob("discrimpower/runs/*"))
 
 
 @pytest.mark.parametrize("case", [
     "missing-dir", "runs-dir-is-a-file", "empty-dir", "not-utf8", "not-utf8-past-first-chunk",
     "bad-line", "bad-score", "nan-score", "mixed-tags", "duplicate-doc", "duplicate-tag",
-    "missing-run-file",
+    "missing-run-file", "run-is-a-directory",
 ])
-def test_run_input_errors_keep_their_message(workspace, tmp_path, capsys, case):
+def test_run_input_errors_keep_their_message(workspace, tmp_path, capsys, monkeypatch,
+                                             cache_home, case):
+    # The same line and code twice on the run cache, then once where the
+    # cache directory cannot be made; a file that fails leaves no entry.
     run_args, code, line = _run_error_case(tmp_path, case)
-    assert main(["evaluate", "--qrels", workspace["gt"], *map(str, run_args)]) == code
+    argv = ["evaluate", "--qrels", workspace["gt"], *map(str, run_args)]
+    for _ in range(2):
+        assert main(argv) == code
+        assert capsys.readouterr().err.splitlines() == [line]
+    assert _entries(cache_home) == []
+    (tmp_path / "xdg").write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    assert main(argv) == code
     assert capsys.readouterr().err.splitlines() == [line]
 
 
@@ -694,9 +711,9 @@ def test_commands_load_runs_to_the_depth_they_score(workspace, tmp_path, monkeyp
                                                     args, depth):
     depths = []
 
-    def spy(directory, tag_from_filename, depth, *, _ids):
+    def spy(directory, tag_from_filename, depth, **private):
         depths.append(depth)
-        return real(directory, tag_from_filename, depth, _ids=_ids)
+        return real(directory, tag_from_filename, depth, **private)
 
     real = cli.load_runs_dir
     monkeypatch.setattr(cli, "load_runs_dir", spy)
@@ -723,13 +740,18 @@ INDEXED = {
 }
 
 
-@pytest.mark.parametrize("command", INDEXED)
-def test_a_command_holds_one_string_per_id(workspace, candidate, tmp_path, monkeypatch,
-                                           command):
+def _holds_one_string_per_id(workspace, candidate, tmp_path, monkeypatch, cache_home,
+                             command, warm):
     # Every file a command loads draws on one pool, so each topic id and doc id
-    # is one object across the runs, the truth and the candidate.
+    # is one object across the runs, the truth and the candidate. Warm, the
+    # runs come from the run cache.
     from discrimpower.measures import _GradeIndex
 
+    args = [arg.format(cand=candidate, **workspace) for arg in INDEXED[command]]
+    if warm:
+        assert main([*args, "--runs-dir", workspace["runs_dir"], "--out-dir",
+                     str(tmp_path / "first")]) == 0
+        assert len(_entries(cache_home)) == len(workspace["runs"])
     indexed = []
     init = _GradeIndex.__init__
 
@@ -738,7 +760,6 @@ def test_a_command_holds_one_string_per_id(workspace, candidate, tmp_path, monke
         init(self, runs, k, *qrels_sets)
 
     monkeypatch.setattr(_GradeIndex, "__init__", spy)
-    args = [arg.format(cand=candidate, **workspace) for arg in INDEXED[command]]
     assert main([*args, "--runs-dir", workspace["runs_dir"], "--out-dir", str(tmp_path)]) == 0
     ((runs, qrels_sets),) = indexed
     assert len(qrels_sets) == (2 if command == "compare" else 1)
@@ -746,6 +767,20 @@ def test_a_command_holds_one_string_per_id(workspace, candidate, tmp_path, monke
     ids += [i for per_topic in runs.runs.values()
             for topic, ranking in per_topic.items() for i in (topic, *ranking.doc_ids)]
     assert len({id(i) for i in ids}) == len(set(ids))
+
+
+@pytest.mark.parametrize("command", INDEXED)
+def test_a_command_holds_one_string_per_id(workspace, candidate, tmp_path, monkeypatch,
+                                           cache_home, command):
+    _holds_one_string_per_id(workspace, candidate, tmp_path, monkeypatch, cache_home,
+                             command, warm=False)
+
+
+@pytest.mark.parametrize("command", INDEXED)
+def test_a_command_holds_one_string_per_id_on_a_warm_cache(workspace, candidate, tmp_path,
+                                                           monkeypatch, cache_home, command):
+    _holds_one_string_per_id(workspace, candidate, tmp_path, monkeypatch, cache_home,
+                             command, warm=True)
 
 
 @pytest.mark.parametrize("command", ["compare", "sweep"])
@@ -791,9 +826,9 @@ def _shuffled(path, dest, rng):
     return str(dest)
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_outputs_do_not_depend_on_the_order_of_the_inputs(workspace, candidate, tmp_path,
-                                                          seed):
+def _order_free(workspace, candidate, tmp_path, seed, warm):
+    # Warm, every command runs twice and the second run, on cached runs, is
+    # the one compared.
     rng = random.Random(seed)
     files = {"gt": workspace["gt"], "cand": candidate}
     reordered = {key: _shuffled(path, tmp_path / "in" / Path(path).name, rng)
@@ -807,9 +842,157 @@ def test_outputs_do_not_depend_on_the_order_of_the_inputs(workspace, candidate, 
             out_dir = tmp_path / out / command
             flags = [flag for path in run_paths for flag in ("--run", path)]
             argv = [arg.format(**inputs) for arg in args]
-            assert main([*argv, *flags, "--out-dir", str(out_dir)]) == 0
+            for _ in range(1 + warm):
+                assert main([*argv, *flags, "--out-dir", str(out_dir)]) == 0
             outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
         assert outputs[0] == outputs[1] and outputs[0], command
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_outputs_do_not_depend_on_the_order_of_the_inputs(workspace, candidate, tmp_path,
+                                                          seed):
+    _order_free(workspace, candidate, tmp_path, seed, warm=False)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_outputs_do_not_depend_on_the_order_of_the_inputs_on_a_warm_cache(
+        workspace, candidate, tmp_path, seed):
+    _order_free(workspace, candidate, tmp_path, seed, warm=True)
+
+
+def _evaluate(runs, out_dir, *flags):
+    """``evaluate`` on the ``runs`` files; (exit code, scores.csv bytes or None)."""
+    code = main(["evaluate", "--qrels", str(runs[0].parent.parent / "truth.qrels"),
+                 *[arg for path in runs for arg in ("--run", str(path))], *flags,
+                 "--out-dir", str(out_dir)])
+    scores = out_dir / "scores.csv"
+    return code, scores.read_bytes() if scores.exists() else None
+
+
+@pytest.fixture
+def collection(tmp_path):
+    """A fresh copy of the mini collection: its run files (20 deep), in order."""
+    _, run_paths = write_mini_collection(tmp_path / "collection")
+    return run_paths
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+def test_an_unusable_cache_directory_changes_nothing(workspace, tmp_path, monkeypatch,
+                                                     command):
+    import _blake2
+
+    argv = [*(["evaluate", "--qrels", workspace["gt"]] if command == "evaluate" else
+              ["compare", "--gt", workspace["gt"], "--cand", workspace["gt"],
+               "--permutations", "300"]), "--runs-dir", workspace["runs_dir"]]
+    assert main([*argv, "--out-dir", str(tmp_path / "cached")]) == 0
+    xdg = tmp_path / "xdg"
+    xdg.write_text("a regular file")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(xdg))
+
+    def no_hashing(*args, **kwargs):
+        raise AssertionError("hashed a file with no cache to key")
+
+    monkeypatch.setattr(_blake2, "blake2b", no_hashing)
+    assert main([*argv, "--out-dir", str(tmp_path / "uncached")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cached", "uncached", "xdg"]
+    assert xdg.read_text() == "a regular file"
+    cached, uncached = ({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+                        for name in ("cached", "uncached"))
+    assert cached == uncached and cached
+
+
+def test_the_cache_keys_a_run_by_its_content(collection, tmp_path, cache_home):
+    first = _evaluate(collection, tmp_path / "a")
+    assert first[0] == 0 and len(_entries(cache_home)) == len(collection)
+    # Swap the first and the last document of a topic in place: the same
+    # size and mtime, another top 10.
+    path = collection[0]
+    stat = path.stat()
+    lines = path.read_text().splitlines(keepends=True)
+    (t1, q, d1, *rest1), (t2, _, d2, *rest2) = lines[0].split(" "), lines[19].split(" ")
+    assert t1 == t2 and len(d1) == len(d2) and d1 != d2
+    lines[0], lines[19] = " ".join([t1, q, d2, *rest1]), " ".join([t2, q, d1, *rest2])
+    path.write_text("".join(lines))
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_size == stat.st_size and path.stat().st_mtime_ns == stat.st_mtime_ns
+    second = _evaluate(collection, tmp_path / "b")
+    assert second[0] == 0 and second[1] != first[1]
+    assert len(_entries(cache_home)) == len(collection) + 1
+    shutil.rmtree(cache_home)
+    assert _evaluate(collection, tmp_path / "c") == second
+
+
+DAMAGE = {
+    "truncated-in-a-line": lambda data: data[:-5],
+    "truncated-at-a-line-end": lambda data: b"".join(data.splitlines(keepends=True)[:-1]),
+    "a-digit-changed": lambda data: data[:-30] + data[-30:].replace(b"1", b"2", 1),
+    "empty": lambda data: b"",
+    "not-utf8": lambda data: data[:-2] + b"\xe9\n",
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE)
+def test_a_damaged_cache_entry_is_a_miss_and_is_rewritten(collection, tmp_path, cache_home,
+                                                          damage):
+    expected = _evaluate(collection, tmp_path / "a")
+    entries = list(cache_home.glob("discrimpower/runs/*"))
+    written = {path: path.read_bytes() for path in entries}
+    assert len(written) == len(collection)
+    for path, data in written.items():
+        path.write_bytes(DAMAGE[damage](data))
+        assert path.read_bytes() != data
+    assert _evaluate(collection, tmp_path / "b") == expected
+    assert {path: path.read_bytes() for path in entries} == written
+
+
+def test_a_run_file_that_changes_while_it_is_parsed_leaves_no_entry(collection, tmp_path,
+                                                                   cache_home, monkeypatch):
+    from discrimpower import trec
+
+    def parse_then_edit(source, *args, _real=trec.parse_run, **kwargs):
+        runset = _real(source, *args, **kwargs)
+        if getattr(source, "name", None) == str(collection[0]):
+            collection[0].write_text(collection[1].read_text())
+        return runset
+
+    monkeypatch.setattr(trec, "parse_run", parse_then_edit)
+    assert _evaluate(collection, tmp_path / "a")[0] == 0
+    assert len(_entries(cache_home)) == len(collection) - 1
+
+
+def test_the_cache_holds_only_cuts_that_drop_lines(collection, tmp_path, cache_home):
+    # The runs are 20 deep: k=20 keeps every line, and --depth 100 too.
+    assert _evaluate(collection, tmp_path / "a", "--k", "20")[0] == 0
+    runs_dir = str(collection[0].parent)
+    truth = str(collection[0].parent.parent / "truth.qrels")
+    assert main(["generate", "popularity", "--gt", truth, "--runs-dir", runs_dir,
+                 "--depth", "100", "--out-dir", str(tmp_path / "b")]) == 0
+    assert _entries(cache_home) == []
+    assert _evaluate(collection, tmp_path / "c", "--k", "19")[0] == 0
+    assert len(_entries(cache_home)) == len(collection)
+
+
+def test_the_cache_keys_a_run_by_its_tag(collection, tmp_path, cache_home):
+    # One file under three names: the tag from each name is part of the key,
+    # and a name with whitespace, which serialize_run cannot keep, skips the
+    # cache.
+    runs = [collection[0].with_name(name) for name in ("a.run", "b.run", "c d.run")]
+    for path in runs:
+        shutil.copy(collection[0], path)
+    outputs = [_evaluate(runs, tmp_path / out, "--tag-from-filename") for out in "xy"]
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+    rows = [row.partition(",") for row in outputs[0][1].decode().splitlines()[1:]]
+    assert [tag for tag, _, _ in rows] == ["a", "b", "c d"]
+    assert len({scores for _, _, scores in rows}) == 1
+    assert len(_entries(cache_home)) == 2
+
+
+def test_library_loaders_never_cache(workspace, cache_home):
+    from discrimpower.trec import load_runs, load_runs_dir
+
+    load_runs_dir(workspace["runs_dir"], depth=5)
+    load_runs(workspace["runs"], depth=5)
+    assert list(cache_home.iterdir()) == []
 
 
 def _resolved(command, *flags):

@@ -2,15 +2,18 @@
 
 A fixed ``write_mini_collection`` set (12 systems x 15 topics, runs 120
 deep) is written to a temporary directory, every subcommand runs on it
-in-process, and each output file's digest is compared with
-``golden_digests.json``. A change that alters outputs on purpose
-regenerates the digests in the same commit and says so in CHANGES.md:
+in-process, first on an empty run cache and then on the entries it wrote,
+and each output file's digest is compared with ``golden_digests.json``.
+A change that alters outputs on purpose regenerates the digests in the
+same commit and says so in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import hashlib
+import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -25,7 +28,7 @@ COLLECTION = dict(n_systems=12, n_topics=15, n_docs=200, judged_per_topic=60,
                   run_depth=120, seed=7)
 
 
-def _cli(*args):
+def _run(*args):
     code = main([str(a) for a in args])
     assert code == 0, args
 
@@ -52,8 +55,19 @@ def write_mixed_candidate(sample: Path, gt: Path, runs: Path, path: Path) -> Pat
     return path
 
 
-def write_outputs(root: Path) -> Path:
-    """Run every subcommand on the golden collection; return the output root."""
+def write_outputs(root: Path, caches: Path) -> Path:
+    """Run every subcommand on the golden collection; return the output root.
+
+    The i-th command keeps its run cache under ``caches / str(i)``, so a
+    first call runs each command on an empty cache, and a second call with
+    the same ``caches`` runs it on the entries it wrote.
+    """
+    count = itertools.count()
+
+    def _cli(*args):
+        os.environ["XDG_CACHE_HOME"] = str(caches / str(next(count)))
+        _run(*args)
+
     gt, _ = write_mini_collection(root / "collection", **COLLECTION)
     runs = gt.parent / "runs"
     out = root / "out"
@@ -109,16 +123,46 @@ def digests(out: Path) -> dict[str, str]:
     }
 
 
+def entries(caches: Path) -> dict[str, int]:
+    """Each run cache entry under ``caches`` and the time it was last written."""
+    return {path.relative_to(caches).as_posix(): path.stat().st_mtime_ns
+            for path in sorted(caches.rglob("runs/*"))}
+
+
 @pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
-    return digests(write_outputs(tmp_path_factory.mktemp("golden")))
+def passes(tmp_path_factory):
+    """The digests of every output, from a cold run cache, then from a warm one."""
+    root = tmp_path_factory.mktemp("golden")
+    caches = root / "caches"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", "")  # restored after the passes
+        cold = digests(write_outputs(root / "cold", caches))
+        written = entries(caches)
+        warm = digests(write_outputs(root / "warm", caches))
+    # Every command that loads runs (the 2nd to the 21st) wrote entries when
+    # cold, and found them all when warm: a miss writes its entry again.
+    assert {name.split("/")[0] for name in written} == {str(i) for i in range(1, 21)}
+    assert entries(caches) == written
+    return {"cold": cold, "warm": warm}
 
 
-def test_cli_outputs_match_golden_digests(outputs):
+@pytest.fixture(scope="module")
+def outputs(passes):
+    return passes["cold"]
+
+
+def _changed(outputs):
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
     assert sorted(outputs) == sorted(expected)
-    changed = [name for name in expected if outputs[name] != expected[name]]
-    assert changed == []
+    return [name for name in expected if outputs[name] != expected[name]]
+
+
+def test_cli_outputs_match_golden_digests(passes):
+    assert _changed(passes["cold"]) == []
+
+
+def test_cli_outputs_match_golden_digests_on_a_warm_cache(passes):
+    assert _changed(passes["warm"]) == []
 
 
 def test_worker_count_does_not_change_outputs(outputs):
@@ -132,6 +176,6 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        table = digests(write_outputs(Path(tmp)))
+        table = digests(write_outputs(Path(tmp), Path(tmp) / "caches"))
     DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(table)} digests to {DIGESTS}", file=sys.stderr)

@@ -116,6 +116,53 @@ def test_a_command_loads_no_sampling_module_it_does_not_run(tmp_path, mini_files
     assert json.loads(proc.stdout.splitlines()[-1]) == [0, loaded]
 
 
+HASHING = ("hashlib", "_hashlib", "_blake2")
+LOADED_THEN_EXIT = f"""\
+import json, sys
+from discrimpower import cli
+load = cli._load_inputs
+loaded = []
+def spy(*args):
+    inputs = load(*args)
+    loaded.append(sorted(set({HASHING!r}) & set(sys.modules)))
+    return inputs
+cli._load_inputs = spy
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, loaded, sorted(set({HASHING!r}) & set(sys.modules))]))
+"""
+
+
+@pytest.mark.parametrize("command", [
+    ["evaluate", "--qrels", "{gt}"],
+    ["compare", "--gt", "{gt}", "--cand", "{gt}", "--permutations", "50"],
+    ["sweep", "--gt", "{gt}", "--fractions", "0.5,1", "--repetitions", "2",
+     "--permutations", "50"],
+], ids=["evaluate", "compare", "sweep"])
+def test_the_run_cache_hashes_without_hashlib(tmp_path, mini_files, cache_home, command):
+    # hashlib loads OpenSSL, about 3.6 MB of peak RSS; the run cache keys
+    # files with _blake2, the module behind hashlib.blake2b. numpy.random
+    # imports hashlib (through secrets and hmac), so compare and sweep load
+    # it once their inputs are in; evaluate never does.
+    gt, runs_dir, out = mini_files
+    argv = [*(arg.format(gt=gt) for arg in command), "--runs-dir", runs_dir, "--out-dir", out]
+    for cache in ("cold", "warm"):
+        proc = _child(LOADED_THEN_EXIT, *argv, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded, at_exit = json.loads(proc.stdout.splitlines()[-1])
+        assert [code, loaded] == [0, [["_blake2"]]], cache
+        if command[0] == "evaluate":
+            assert at_exit == ["_blake2"], cache
+    assert len(list(cache_home.glob("discrimpower/runs/*"))) == 5
+
+
+def test_importing_the_cli_loads_no_hashing_module(tmp_path):
+    code = ("import sys\nimport discrimpower.cli as cli\ncli.build_parser()\n"
+            f"print(sorted(set({HASHING!r}) & set(sys.modules)))\n")
+    proc = _child(code, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_public_names_are_their_defining_modules_objects():
     names = [n for n in discrimpower.__all__ if n != "__version__"]
     assert len(discrimpower.__all__) == 60 and len(set(names)) == 59
