@@ -336,77 +336,20 @@ def _naming(path):
         raise error from exc
 
 
-def _cache_key(path: Path, depth: int, tag: str | None, count: bool = False) -> tuple[str, int]:
-    """The cache key of ``path`` cut to ``depth`` and read with ``tag``, and,
-    with ``count``, the number of line ends in the file (else 0)."""
-    # _blake2 is the module behind hashlib.blake2b. Importing hashlib loads
-    # OpenSSL, about 3.6 MB of peak RSS in evaluate, which needs no hashlib.
-    from _blake2 import blake2b
-
-    from . import __version__
-
-    # A tag has no whitespace, so this first line is read one way only.
-    key = blake2b(f"{__version__} {depth} {tag or ''}\n".encode(), digest_size=32)
-    line_ends = 0
-    buf = bytearray(1 << 16)
-    with open(path, "rb") as fh:
-        while n := fh.readinto(buf):
-            key.update(memoryview(buf)[:n])
-            if count:
-                line_ends += buf.count(b"\n", 0, n)
-    return key.hexdigest(), line_ends
-
-
-def _entry_check(body: bytes) -> str:
-    from _blake2 import blake2b
-
-    return blake2b(body, digest_size=16).hexdigest()
-
-
-def _read_entry(entry: Path, ids: dict[str, str] | None) -> RunSet | None:
-    # An entry is its body's digest on one line, then the run set as
-    # serialize_run wrote it. A missing, unreadable or damaged entry is a miss.
-    try:
-        check, _, body = entry.read_bytes().partition(b"\n")
-    except OSError:
-        return None
-    return parse_run(body, _ids=ids) if check == _entry_check(body).encode() else None
-
-
 def load_run(path, system_tag_override: str | None = None, tag_from_filename: bool = False,
              *, _ids: dict[str, str] | None = None, _depth: int | None = None,
              _cache: Path | None = None) -> RunSet:
     """Load one run file; errors name the file."""
-    # With ``_cache`` and ``_depth``, the cut run set is kept in the directory
-    # ``_cache`` under a digest of the file's bytes, the depth and the tag, and
-    # read from there while the bytes stay the same. Errors only ever come from
-    # the file, and a file that fails to parse leaves no entry. An entry is
-    # written only for a cut that keeps fewer lines than the file has, and
-    # only if the file did not change while it was parsed.
+    # With ``_cache`` and ``_depth``, ``_runcache`` reads the cut run set from
+    # the directory ``_cache`` or parses the file and keeps its cut there.
     path = Path(path)
     tag = path.stem if tag_from_filename else system_tag_override
-    # A tag holding whitespace or a character UTF-8 cannot encode would not
-    # survive serialize_run and write_atomic.
-    use_cache = (_cache is not None and _depth is not None
-                 and (tag is None or (tag.split() == [tag] and tag.isprintable())))
-    with _naming(path):
-        if use_cache:
-            key, _ = _cache_key(path, _depth, tag)
-            runset = _read_entry(_cache / key, _ids)
-            if runset is not None:
-                return runset
-        with open(path, encoding="utf-8") as fh:
-            runset = parse_run(fh, tag, _ids=_ids, _depth=_depth)
-    if use_cache:
-        kept = sum(len(r.doc_ids) for per_topic in runset.runs.values() for r in per_topic.values())
-        try:  # the file's bytes again, now that they are parsed
-            digest, line_ends = _cache_key(path, _depth, tag, count=True)
-            if digest == key and kept < line_ends:
-                body = serialize_run(runset)
-                write_atomic(_cache / key, f"{_entry_check(body.encode())}\n{body}")
-        except OSError:
-            pass  # the cache is never an error
-    return runset
+    if _cache is not None and _depth is not None:
+        from ._runcache import load_cached
+
+        return load_cached(path, tag, _cache, _depth, _ids)
+    with _naming(path), open(path, encoding="utf-8") as fh:
+        return parse_run(fh, tag, _ids=_ids, _depth=_depth)
 
 
 def _check_depth(depth: int | None) -> None:

@@ -947,15 +947,15 @@ def test_a_damaged_cache_entry_is_a_miss_and_is_rewritten(collection, tmp_path, 
 
 def test_a_run_file_that_changes_while_it_is_parsed_leaves_no_entry(collection, tmp_path,
                                                                    cache_home, monkeypatch):
-    from discrimpower import trec
+    from discrimpower import _runcache
 
-    def parse_then_edit(source, *args, _real=trec.parse_run, **kwargs):
+    def parse_then_edit(source, *args, _real=_runcache.parse_run, **kwargs):
         runset = _real(source, *args, **kwargs)
         if getattr(source, "name", None) == str(collection[0]):
             collection[0].write_text(collection[1].read_text())
         return runset
 
-    monkeypatch.setattr(trec, "parse_run", parse_then_edit)
+    monkeypatch.setattr(_runcache, "parse_run", parse_then_edit)
     assert _evaluate(collection, tmp_path / "a")[0] == 0
     assert len(_entries(cache_home)) == len(collection) - 1
 
