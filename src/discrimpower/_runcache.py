@@ -6,25 +6,30 @@ from __future__ import annotations
 # _blake2 is the module behind hashlib.blake2b. Importing hashlib loads
 # OpenSSL, about 3.6 MB of peak RSS in evaluate, which needs no hashlib.
 import _blake2
+import io
+import os
 from pathlib import Path
 
 from . import __version__
-from .trec import RunSet, _naming, parse_run, serialize_run, write_atomic
+from .trec import (_CUT_FORMAT, RunSet, _cut_run, _naming, _read_run, parse_run, serialize_run,
+                   write_atomic)
 
 
-def _cache_key(path: Path, depth: int, tag: str | None, count: bool = False) -> tuple[str, int]:
-    """The cache key of ``path`` cut to ``depth`` and read with ``tag``, and,
-    with ``count``, the number of line ends in the file (else 0)."""
+def _cache_key(fh, depth: int, tag: str | None) -> str:
+    """The cache key of the rest of the binary file ``fh``, cut to ``depth``
+    and read with ``tag``."""
     # A tag has no whitespace, so this first line is read one way only.
-    key = _blake2.blake2b(f"{__version__} {depth} {tag or ''}\n".encode(), digest_size=32)
-    line_ends = 0
+    key = _blake2.blake2b(f"{__version__} {_CUT_FORMAT} {depth} {tag or ''}\n".encode(),
+                          digest_size=32)
     buf = bytearray(1 << 16)
-    with open(path, "rb") as fh:
-        while n := fh.readinto(buf):
-            key.update(memoryview(buf)[:n])
-            if count:
-                line_ends += buf.count(b"\n", 0, n)
-    return key.hexdigest(), line_ends
+    while n := fh.readinto(buf):
+        key.update(memoryview(buf)[:n])
+    return key.hexdigest()
+
+
+def _stamp(fh) -> tuple[int, int, int]:
+    stat = os.fstat(fh.fileno())
+    return stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns
 
 
 def _entry_check(body: bytes) -> str:
@@ -46,28 +51,32 @@ def load_cached(path: Path, tag: str | None, cache: Path, depth: int,
     """``path`` cut to ``depth``, from its entry in ``cache`` or parsed.
 
     Errors only ever come from the file, and a file that fails to parse
-    leaves no entry. An entry is written only for a cut that keeps fewer
-    lines than the file has, and only if the file did not change while it
-    was parsed.
+    leaves no entry. An entry is written only for a cut that drops lines,
+    and only if the file did not change while it was read.
     """
     # A tag holding whitespace or a character UTF-8 cannot encode would not
     # survive serialize_run and write_atomic.
     use_cache = tag is None or (tag.split() == [tag] and tag.isprintable())
-    with _naming(path):
+    with _naming(path), open(path, "rb") as fh:
         if use_cache:
-            key, _ = _cache_key(path, depth, tag)
+            stamp = _stamp(fh)
+            key = _cache_key(fh, depth, tag)
             runset = _read_entry(cache / key, ids)
             if runset is not None:
                 return runset
-        with open(path, encoding="utf-8") as fh:
-            runset = parse_run(fh, tag, _ids=ids, _depth=depth)
+            fh.seek(0)
+        # A miss reads the file a second time, through the same descriptor:
+        # a write in between changes its size or its times.
+        text = io.TextIOWrapper(fh, encoding="utf-8")
+        found_tag, topics = _read_run(text, tag)
+        use_cache = (use_cache and _stamp(fh) == stamp
+                     and any(len(docs) > depth for docs in topics.values()))
+    runset = _cut_run(found_tag, topics, ids, depth)
+    del topics  # the uncut run goes before the entry is built
     if use_cache:
-        kept = sum(len(r.doc_ids) for per_topic in runset.runs.values() for r in per_topic.values())
-        try:  # the file's bytes again, now that they are parsed
-            digest, line_ends = _cache_key(path, depth, tag, count=True)
-            if digest == key and kept < line_ends:
-                body = serialize_run(runset)
-                write_atomic(cache / key, f"{_entry_check(body.encode())}\n{body}")
+        body = serialize_run(runset)
+        try:
+            write_atomic(cache / key, f"{_entry_check(body.encode())}\n{body}")
         except OSError:
             pass  # the cache is never an error
     return runset

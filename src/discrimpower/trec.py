@@ -133,7 +133,11 @@ def parse_run(source, system_tag_override: str | None = None, *,
     # ``_ids`` maps each topic and kept doc id to the one string kept for it
     # across a load; None starts a new pool. Every line is checked; only the
     # first ``_depth`` of each sorted topic are kept.
-    ids = {} if _ids is None else _ids
+    return _cut_run(*_read_run(source, system_tag_override), _ids, _depth)
+
+
+def _read_run(source, system_tag_override: str | None) -> tuple[str | None, dict]:
+    """The run's tag (None if it has no lines) and each topic's scores by doc id."""
     tag_seen: str | None = None
     topics: dict[str, dict[str, float]] = {}
     topic_seen: str | None = None
@@ -172,15 +176,22 @@ def parse_run(source, system_tag_override: str | None = None, *,
                 f"duplicate document {doc_id!r} for topic {topic!r} in run {tag!r}"
             )
         docs[doc_id] = score
-    if tag_seen is None:
+    return tag_seen, topics
+
+
+def _cut_run(tag: str | None, topics: dict[str, dict[str, float]],
+             ids: dict[str, str] | None, depth: int | None) -> RunSet:
+    """The run set of ``_read_run``'s output, each topic sorted and cut to ``depth``."""
+    if tag is None:
         return RunSet()
+    ids = {} if ids is None else ids
     rankings = {}
     for topic, docs in topics.items():
         # Sorting (score, doc_id) pairs descending breaks ties on doc_id.
-        scores, doc_ids = zip(*sorted(zip(docs.values(), docs.keys()), reverse=True)[:_depth])
+        scores, doc_ids = zip(*sorted(zip(docs.values(), docs.keys()), reverse=True)[:depth])
         rankings[ids.setdefault(topic, topic)] = Ranking(map(ids.setdefault, doc_ids, doc_ids),
                                                          scores)
-    return RunSet({tag_seen: rankings})
+    return RunSet({tag: rankings})
 
 
 def parse_qrels(source, max_grade: int = 3, role: str = GROUND_TRUTH, *,
@@ -233,6 +244,13 @@ def serialize_qrels(qrels: Qrels) -> str:
         f"{topic} 0 {doc} {grade}\n"
         for (topic, doc), grade in sorted(qrels.judgments.items())
     )
+
+
+# The CLI's run cache keeps cut run sets as serialize_run writes them, keyed
+# by this number among others. Bump it whenever a change to parse_run,
+# _iter_lines, _read_run, _cut_run, serialize_run or Ranking could change
+# what a cached cut holds; tests/test_trec.py pins their source to it.
+_CUT_FORMAT = 1
 
 
 def serialize_run(runset: RunSet) -> str:
@@ -345,9 +363,12 @@ def load_run(path, system_tag_override: str | None = None, tag_from_filename: bo
     path = Path(path)
     tag = path.stem if tag_from_filename else system_tag_override
     if _cache is not None and _depth is not None:
-        from ._runcache import load_cached
-
-        return load_cached(path, tag, _cache, _depth, _ids)
+        try:
+            from ._runcache import load_cached
+        except ImportError:  # a Python built without BLAKE2b loads uncached
+            pass
+        else:
+            return load_cached(path, tag, _cache, _depth, _ids)
     with _naming(path), open(path, encoding="utf-8") as fh:
         return parse_run(fh, tag, _ids=_ids, _depth=_depth)
 

@@ -949,15 +949,45 @@ def test_a_run_file_that_changes_while_it_is_parsed_leaves_no_entry(collection, 
                                                                    cache_home, monkeypatch):
     from discrimpower import _runcache
 
-    def parse_then_edit(source, *args, _real=_runcache.parse_run, **kwargs):
-        runset = _real(source, *args, **kwargs)
-        if getattr(source, "name", None) == str(collection[0]):
+    def read_then_edit(source, *args, _real=_runcache._read_run):
+        read = _real(source, *args)
+        if source.name == str(collection[0]):
             collection[0].write_text(collection[1].read_text())
-        return runset
+        return read
 
-    monkeypatch.setattr(_runcache, "parse_run", parse_then_edit)
+    monkeypatch.setattr(_runcache, "_read_run", read_then_edit)
     assert _evaluate(collection, tmp_path / "a")[0] == 0
     assert len(_entries(cache_home)) == len(collection) - 1
+
+
+def test_each_run_file_is_opened_once_on_a_miss_and_on_a_hit(collection, tmp_path,
+                                                             monkeypatch):
+    # A miss keys and parses the file through one descriptor; a hit keys it.
+    from discrimpower import _runcache
+
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(Path(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(_runcache, "open", counting_open, raising=False)
+    cold = _evaluate(collection, tmp_path / "a")
+    assert opened == collection
+    warm = _evaluate(collection, tmp_path / "b")
+    assert opened == collection * 2 and cold == warm and cold[0] == 0
+
+
+def test_a_python_without_blake2_loads_runs_uncached(collection, tmp_path, cache_home,
+                                                     monkeypatch):
+    expected = _evaluate(collection, tmp_path / "a")
+    shutil.rmtree(cache_home / "discrimpower")
+    # None in sys.modules makes ``import _blake2`` raise ImportError.
+    monkeypatch.setitem(sys.modules, "_blake2", None)
+    monkeypatch.delitem(sys.modules, "discrimpower._runcache", raising=False)
+    assert _evaluate(collection, tmp_path / "b") == expected
+    assert _entries(cache_home) == []
+    assert "discrimpower._runcache" not in sys.modules
 
 
 def test_the_cache_holds_only_cuts_that_drop_lines(collection, tmp_path, cache_home):

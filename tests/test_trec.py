@@ -297,6 +297,22 @@ def test_runs_share_topic_strings(tmp_path):
     assert len(topics) == 4 * 3 and len({id(topic) for topic in topics}) == 3
 
 
+def test_the_run_cache_format_pins_the_code_that_cuts_a_run():
+    # The CLI's run cache keys each cut run set by trec._CUT_FORMAT. A change
+    # to this code changes the digest: bump _CUT_FORMAT with it, so that no
+    # entry written by the old code is read back, and pin the new pair here.
+    import hashlib
+    import inspect
+
+    from discrimpower import trec
+
+    code = (trec.parse_run, trec._iter_lines, trec._read_run, trec._cut_run,
+            trec.serialize_run, trec.Ranking)
+    digest = hashlib.sha256("".join(map(inspect.getsource, code)).encode()).hexdigest()
+    assert (trec._CUT_FORMAT, digest) == (
+        1, "7b2dcde9ecccbab1f6e923b3582d2452966dd23f800181fdff3fa210ff866145")
+
+
 def test_parse_run_alone_is_unchanged(tmp_path):
     expected = RunSet({"sysA": {
         "q1": Ranking(("d3", "d2", "d1"), (9.5, 7.25, 7.25)),
