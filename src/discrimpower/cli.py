@@ -460,9 +460,9 @@ def cmd_plot(opts: dict) -> int:
 def cmd_evaluate(opts: dict) -> int:
     spec = _measure_spec(opts)
     runs, qrels = _load_inputs(opts, spec.k, ("qrels", GROUND_TRUTH))
-    from .measures import score_matrix
+    from .measures import _score_rows, _score_table
 
-    csv_text = score_matrix(runs, qrels, spec).to_csv()
+    csv_text = _score_table(*_score_rows(runs, qrels, spec))
     if opts["out_dir"] is None:
         sys.stdout.write(csv_text)
     else:

@@ -4,8 +4,13 @@ The score matrix is the single input to significance testing and to the
 system ranking, so everything here is deterministic: topics and systems
 are kept in sorted order and per-system means are summed left-to-right.
 
-Every score is computed on a ``_GradeIndex``, the qrels sets' judged keys
-as grade vectors; each equals ``ndcg_at_k``, the plain reference, bit for bit.
+One qrels set is scored in plain floats by ``_score_rows``, the
+arithmetic of ``ndcg_at_k`` with each topic's IDCG computed once; that is
+``score_matrix`` and the ``evaluate`` command. ``compare``, ``sweep`` and
+popularity labelling score many grade vectors on a ``_GradeIndex``, the
+qrels sets' judged keys as arrays. Every score equals ``ndcg_at_k``, the
+plain reference, bit for bit. numpy is imported only by the functions that
+build arrays, so importing this module and ``evaluate`` never load it.
 """
 
 from __future__ import annotations
@@ -16,12 +21,13 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, groupby, repeat
 from operator import itemgetter
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError, ValidationError
 from .trec import Qrels, RunSet, _csv_table
+
+if TYPE_CHECKING:
+    import numpy as np
 
 LINEAR = "linear"
 EXPONENTIAL = "exponential"
@@ -42,9 +48,13 @@ class MeasureSpec:
 
 
 def _gain(grade: int, kind: str) -> float:
-    if kind == LINEAR:
+    # A gain past the largest float is inf, which _idcg refuses.
+    if kind == EXPONENTIAL:
+        grade = 2 ** min(grade, 1024) - 1
+    try:
         return float(grade)
-    return float(2 ** grade - 1)
+    except OverflowError:
+        return math.inf
 
 
 def _dcg(grades: Sequence[int], kind: str) -> float:
@@ -54,6 +64,20 @@ def _dcg(grades: Sequence[int], kind: str) -> float:
         if grade > 0:
             total += _gain(grade, kind) / math.log2(i + 2)
     return total
+
+
+def _idcg(grades: Iterable[int], k: int, kind: str) -> float:
+    """The DCG of a topic's ideal ranking: its k highest grades, highest first.
+
+    Every scorer refuses a DCG that overflows a float here: no ranking of
+    a topic has a larger DCG than its ideal one, whose top grade is named.
+    """
+    top = sorted(grades, reverse=True)[:k]
+    idcg = _dcg(top, kind)
+    if idcg == math.inf:
+        raise ValidationError(f"grade {top[0]} is too large for {kind} gain: "
+                              "the ideal DCG overflows a float")
+    return idcg
 
 
 def ndcg_at_k(ranking: Sequence[str], topic_judgments: Mapping[str, int],
@@ -66,7 +90,7 @@ def ndcg_at_k(ranking: Sequence[str], topic_judgments: Mapping[str, int],
     graded document score 0. The discount of rank i is log2(i + 1) with
     ranks starting at 1.
     """
-    idcg = _dcg(sorted(topic_judgments.values(), reverse=True)[:spec.k], spec.gain)
+    idcg = _idcg(topic_judgments.values(), spec.k, spec.gain)
     if idcg == 0.0:
         return 0.0
     grades = [topic_judgments.get(doc_id, 0) for doc_id in ranking[:spec.k]]
@@ -82,6 +106,8 @@ class ScoreMatrix:
     values: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         self.system_tags = tuple(self.system_tags)
         self.topic_ids = tuple(self.topic_ids)
         self.values = np.asarray(self.values, dtype=float)
@@ -95,10 +121,11 @@ class ScoreMatrix:
             raise ValidationError("system tags are not unique")
         if len(set(self.topic_ids)) != n:
             raise ValidationError("topic ids are not unique")
-        if not ((self.values >= 0.0) & (self.values <= 1.0)).all():  # NaN fails both
-            raise ValidationError("matrix values must lie in [0, 1]")
+        _check_unit(self.values.ravel().tolist())
 
     def __eq__(self, other):  # the generated one compares ``values`` as an array
+        import numpy as np
+
         return (isinstance(other, ScoreMatrix) and self.system_tags == other.system_tags
                 and self.topic_ids == other.topic_ids
                 and np.array_equal(self.values, other.values))
@@ -108,8 +135,18 @@ class ScoreMatrix:
 
     def to_csv(self) -> str:
         """CSV with topic ids as header and one row per system, 6 dp."""
-        columns = [("system", str), *((topic, "{:.6f}".format) for topic in self.topic_ids)]
-        return _csv_table(columns, ((tag, *v) for tag, v in zip(self.system_tags, self.values)))
+        return _score_table(self.system_tags, self.topic_ids, self.values)
+
+
+def _check_unit(values: Iterable[float]) -> None:
+    if not all(0.0 <= v <= 1.0 for v in values):  # NaN fails both
+        raise ValidationError("matrix values must lie in [0, 1]")
+
+
+def _score_table(system_tags: Sequence[str], topic_ids: Sequence[str], rows: Iterable) -> str:
+    """``ScoreMatrix.to_csv`` of these tags, topics and rows of scores."""
+    columns = [("system", str), *((topic, "{:.6f}".format) for topic in topic_ids)]
+    return _csv_table(columns, ((tag, *row) for tag, row in zip(system_tags, rows)))
 
 
 def sequential_row_means(values: np.ndarray) -> np.ndarray:
@@ -133,6 +170,8 @@ def _union_judgments(*qrels_sets: Qrels) -> tuple[list[tuple[str, str]], list[st
     none), and a mask of the keys every set judged. Both arrays end in
     one more slot, a 0 grade that no set judged, which index -1 reads.
     """
+    import numpy as np
+
     keys = sorted(chain.from_iterable(q.judgments for q in qrels_sets))
     if len(qrels_sets) > 1:  # a sorted merge: a set union of the keys holds more memory
         keys = [key for key, _ in groupby(keys)]
@@ -155,6 +194,8 @@ def _ranked(runs: RunSet, systems: list[str], keys: list[tuple[str, str]], topic
     and pads short and missing rankings with it. It is as wide as the
     deepest ranking when that is shallower than k.
     """
+    import numpy as np
+
     rankings = [runs.runs[tag] for tag in systems]
     width = min(k, max((len(r.doc_ids) for per in rankings for r in per.values()), default=0))
     values, pad = array("q"), [-1] * width
@@ -169,15 +210,6 @@ def _ranked(runs: RunSet, systems: list[str], keys: list[tuple[str, str]], topic
             values.extend(pad[len(row):])
     ranked = np.frombuffer(values, dtype=np.int64).reshape(len(topics), len(systems), width)
     return ranked.swapaxes(0, 1)
-
-
-def _dcg_rows(gains: np.ndarray) -> np.ndarray:
-    # ``_dcg`` over the last axis, rank by rank in the same order; a 0 gain
-    # adds 0.0, which changes no sum, so the results are bit-identical.
-    acc = np.zeros(gains.shape[:-1])
-    for r in range(gains.shape[-1]):
-        acc += gains[..., r] / math.log2(r + 2)
-    return acc
 
 
 class _GradeIndex:
@@ -198,6 +230,8 @@ class _GradeIndex:
     """
 
     def __init__(self, runs: RunSet, k: int, *qrels_sets: Qrels):
+        import numpy as np
+
         keys, topics, self.bounds, self.grades, self.shared = _union_judgments(*qrels_sets)
         if not topics:
             raise ConfigurationError("qrels contain no judgments")
@@ -210,27 +244,62 @@ class _GradeIndex:
         self.values = np.array(sorted({0, *chain.from_iterable(q.judgments.values()
                                                              for q in qrels_sets)}),
                                dtype=np.int64)
-        bounds = self.bounds.tolist()
-        self.ranked = _ranked(runs, self.systems, keys, topics, bounds, k)
-        # The width of the ideal ranking: k, or the most judgments of a topic.
-        self.k = min(k, max(end - start for start, end in zip(bounds, bounds[1:])))
+        self.k = k
+        self.ranked = _ranked(runs, self.systems, keys, topics, self.bounds.tolist(), k)
 
     def score(self, grades: np.ndarray, gain: str) -> ScoreMatrix:
         """nDCG@k of every system on every topic under one grade vector.
 
-        Only the ranked grades and each topic's top k become arrays, so
-        scoring allocates no array as long as the vector.
+        Only the ranked grades become an array, so scoring allocates no
+        array as long as the vector. Each topic's IDCG is ``_idcg`` of its
+        segment, which refuses the vector's grades before any is gathered.
         """
-        ideal = np.zeros((len(self.topics), self.k), dtype=np.int64)
-        for row, start, end in zip(ideal, self.bounds[:-1].tolist(), self.bounds[1:].tolist()):
-            top = sorted(grades[start:end].tolist(), reverse=True)[:self.k]
-            row[:len(top)] = top
+        import numpy as np
+
+        bounds = self.bounds.tolist()
+        idcg = np.array([_idcg(grades[start:end].tolist(), self.k, gain)
+                         for start, end in zip(bounds, bounds[1:])])
         table = np.array([_gain(g, gain) if g > 0 else 0.0 for g in self.values.tolist()])
-        # Gains rise with grades, so the top grades give the ideal gains.
-        dcg, idcg = (_dcg_rows(table[np.searchsorted(self.values, g)])
-                     for g in (grades[self.ranked], ideal))
+        gains = table[np.searchsorted(self.values, grades[self.ranked])]
+        dcg = np.zeros(gains.shape[:-1])
+        # ``_dcg`` rank by rank in the same order; a 0 gain adds 0.0, which
+        # changes no sum, so the results are bit-identical.
+        for r in range(gains.shape[-1]):
+            dcg += gains[..., r] / math.log2(r + 2)
         ndcg = np.divide(dcg, idcg, out=np.zeros_like(dcg), where=idcg != 0.0)
         return ScoreMatrix(self.systems, self.topics, ndcg)
+
+
+def _score_rows(runs: RunSet, qrels: Qrels,
+                spec: MeasureSpec) -> tuple[list[str], list[str], list[list[float]]]:
+    """The systems, the judged topics and each system's row of nDCG@k, in plain floats.
+
+    ``ndcg_at_k`` on every pair, with each topic's IDCG computed once. It
+    raises what ``_GradeIndex`` and ``ScoreMatrix`` raise, in that order.
+    """
+    judged = qrels.by_topic()
+    if not judged:
+        raise ConfigurationError("qrels contain no judgments")
+    systems, topics = runs.systems(), sorted(judged)
+    if not systems:
+        raise ConfigurationError("run set contains no systems")
+    if not set(runs.topics()) & set(topics):
+        raise ConfigurationError("runs and qrels share no topics")
+    ideal = [_idcg(judged[topic].values(), spec.k, spec.gain) for topic in topics]
+    rows = []
+    for tag in systems:
+        rankings, row = runs.runs[tag], []
+        for topic, idcg in zip(topics, ideal):
+            ranking = rankings.get(topic)
+            if idcg == 0.0 or ranking is None:
+                row.append(0.0)
+            else:
+                grades = judged[topic]
+                row.append(_dcg([grades.get(doc, 0) for doc in ranking.doc_ids[:spec.k]],
+                                spec.gain) / idcg)
+        rows.append(row)
+    _check_unit(chain.from_iterable(rows))
+    return systems, topics, rows
 
 
 def score_matrix(runs: RunSet, qrels: Qrels,
@@ -240,8 +309,7 @@ def score_matrix(runs: RunSet, qrels: Qrels,
     Topics are those present in the qrels; a system with no ranking for a
     topic scores 0 on it. Each score equals ``ndcg_at_k`` bit for bit.
     """
-    index = _GradeIndex(runs, spec.k, qrels)
-    return index.score(index.grades[0], spec.gain)
+    return ScoreMatrix(*_score_rows(runs, qrels, spec))
 
 
 def mean_scores(sm: ScoreMatrix) -> dict[str, float]:

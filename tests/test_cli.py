@@ -235,6 +235,32 @@ def test_bad_input_gives_one_error_line(workspace, tmp_path, args, config, named
     assert named in lines[0]
 
 
+OVERFLOW = "grade {} is too large for exponential gain: the ideal DCG overflows a float"
+
+
+@pytest.mark.parametrize("command", [["evaluate", "--qrels", "{qrels}"],
+                                     ["compare", "--gt", "{qrels}", "--cand", "{qrels}",
+                                      "--permutations", "50"]],
+                         ids=["evaluate", "compare"])
+@pytest.mark.parametrize("judged, message", [
+    ("q1 0 a 2000\n", OVERFLOW.format(2000)),
+    ("q1 0 a 1023\nq1 0 b 1023\nq1 0 c 1023\n", OVERFLOW.format(1023)),
+    # The DCG of (53, 1, 2) rounds one ulp above the ideal (53, 2, 1)'s.
+    ("q1 0 a 53\nq1 0 b 1\nq1 0 c 2\n", "matrix values must lie in [0, 1]"),
+], ids=["gain-overflows", "ideal-dcg-overflows", "rounded-above-1"])
+def test_an_unrepresentable_exponential_score_is_one_error_line(tmp_path, command, judged,
+                                                                message):
+    qrels, run = tmp_path / "gt.qrels", tmp_path / "A.run"
+    qrels.write_text(judged)
+    run.write_text("q1 Q0 a 1 3.0 A\nq1 Q0 b 2 2.0 A\nq1 Q0 c 3 1.0 A\n")
+    args = [arg.format(qrels=qrels) for arg in command]
+    proc = _run_script("discrimpower.cli:main", *args, "--run", str(run), "--gain",
+                       "exponential", "--max-grade", "5000", "--out-dir", str(tmp_path / "out"),
+                       cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (1, f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_fraction_listed_twice_exits_1_before_loading(workspace, tmp_path, capsys):
     # Both cells of a repeated fraction would draw the same seed substream.
     missing = str(tmp_path / "nowhere")
@@ -744,7 +770,9 @@ def _holds_one_string_per_id(workspace, candidate, tmp_path, monkeypatch, cache_
                              command, warm):
     # Every file a command loads draws on one pool, so each topic id and doc id
     # is one object across the runs, the truth and the candidate. Warm, the
-    # runs come from the run cache.
+    # runs come from the run cache. evaluate scores its one set without an
+    # index, so its scorer is the one watched.
+    from discrimpower import measures
     from discrimpower.measures import _GradeIndex
 
     args = [arg.format(cand=candidate, **workspace) for arg in INDEXED[command]]
@@ -753,13 +781,18 @@ def _holds_one_string_per_id(workspace, candidate, tmp_path, monkeypatch, cache_
                      str(tmp_path / "first")]) == 0
         assert len(_entries(cache_home)) == len(workspace["runs"])
     indexed = []
-    init = _GradeIndex.__init__
+    if command == "evaluate":
+        def spy(runs, qrels, spec, _score=measures._score_rows):
+            indexed.append((runs, (qrels,)))
+            return _score(runs, qrels, spec)
 
-    def spy(self, runs, k, *qrels_sets):
-        indexed.append((runs, qrels_sets))
-        init(self, runs, k, *qrels_sets)
+        monkeypatch.setattr(measures, "_score_rows", spy)
+    else:
+        def spy(self, runs, k, *qrels_sets, _init=_GradeIndex.__init__):
+            indexed.append((runs, qrels_sets))
+            _init(self, runs, k, *qrels_sets)
 
-    monkeypatch.setattr(_GradeIndex, "__init__", spy)
+        monkeypatch.setattr(_GradeIndex, "__init__", spy)
     assert main([*args, "--runs-dir", workspace["runs_dir"], "--out-dir", str(tmp_path)]) == 0
     ((runs, qrels_sets),) = indexed
     assert len(qrels_sets) == (2 if command == "compare" else 1)

@@ -199,13 +199,15 @@ def test_literal_cli_choices_are_the_module_constants():
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-EVALUATE_THEN_REPORT = f"""\
+# compare, since evaluate never loads numpy: a gate it passed would pass
+# vacuously. The last field says that numpy was loaded.
+COMPARE_THEN_REPORT = f"""\
 import json, os, sys
 from discrimpower import cli
-code = cli.main(["evaluate", "--qrels", sys.argv[1], "--runs-dir", sys.argv[2],
-                 "--out-dir", sys.argv[3]])
+code = cli.main(["compare", "--gt", sys.argv[1], "--cand", sys.argv[1],
+                 "--runs-dir", sys.argv[2], "--out-dir", sys.argv[3], "--permutations", "50"])
 print(json.dumps([code, len(os.listdir("/proc/self/task")),
-                  [os.environ.get(name) for name in {BLAS_VARS!r}]]))
+                  [os.environ.get(name) for name in {BLAS_VARS!r}], "numpy" in sys.modules]))
 """
 
 
@@ -218,24 +220,55 @@ def mini_files(tmp_path_factory):
     return [str(qrels_path), str(qrels_path.parent / "runs"), str(root / "out")]
 
 
+NO_NUMPY = """\
+import sys
+sys.modules["numpy"] = None  # every import of numpy now fails
+from discrimpower import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_evaluate_runs_without_numpy(tmp_path, mini_files):
+    # evaluate scores its one qrels set in plain floats; the grade index,
+    # which needs numpy, must give the same bytes.
+    from discrimpower.measures import _GradeIndex
+    from discrimpower.trec import load_qrels, load_runs_dir
+
+    gt, runs_dir, _ = mini_files
+    index = _GradeIndex(load_runs_dir(runs_dir, depth=10), 10, load_qrels(gt))
+    expected = index.score(index.grades[0], "linear").to_csv()
+    for out_dir in (None, tmp_path / "out"):
+        cache = tmp_path / ("cache-stdout" if out_dir is None else "cache-out-dir")
+        argv = ["evaluate", "--qrels", gt, "--runs-dir", runs_dir,
+                *(() if out_dir is None else ("--out-dir", str(out_dir)))]
+        for run in ("cold", "warm"):
+            proc = _child(NO_NUMPY, *argv, cwd=tmp_path, XDG_CACHE_HOME=str(cache))
+            assert proc.returncode == 0, (run, proc.stderr)
+            written = proc.stdout if out_dir is None else (out_dir / "scores.csv").read_text()
+            assert written == expected, run
+        assert len(list(cache.glob("discrimpower/runs/*"))) == 5
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
 def test_cli_starts_no_blas_threads(tmp_path, mini_files):
     # No command calls BLAS; numpy's BLAS would otherwise start a worker
     # thread per extra core when the command imports numpy.
-    proc = _child(EVALUATE_THEN_REPORT, *mini_files, cwd=tmp_path, unset=BLAS_VARS)
+    proc = _child(COMPARE_THEN_REPORT, *mini_files, cwd=tmp_path, unset=BLAS_VARS)
     assert proc.returncode == 0, proc.stderr
-    code, tasks, values = json.loads(proc.stdout.splitlines()[-1])
-    assert code == 0
+    code, tasks, values, numpy_loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0 and numpy_loaded
     assert tasks <= 1
     assert values == ["1", "1", "1"]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
 def test_cli_keeps_a_blas_thread_count_already_set(tmp_path, mini_files):
-    proc = _child(EVALUATE_THEN_REPORT, *mini_files, cwd=tmp_path, unset=BLAS_VARS,
+    proc = _child(COMPARE_THEN_REPORT, *mini_files, cwd=tmp_path, unset=BLAS_VARS,
                   OPENBLAS_NUM_THREADS="2")
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1])[2] == ["2", "1", "1"]
+    code, _, values, numpy_loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0 and numpy_loaded
+    assert values == ["2", "1", "1"]
 
 
 def test_importing_the_cli_leaves_the_environment_alone(tmp_path):

@@ -1,19 +1,26 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discrimpower.errors import ConfigurationError, ValidationError
 from discrimpower.measures import (
     EXPONENTIAL,
+    LINEAR,
     MeasureSpec,
     ScoreMatrix,
+    _GradeIndex,
+    _score_rows,
+    _score_table,
     mean_scores,
     ndcg_at_k,
     score_matrix,
     sequential_row_means,
 )
-from discrimpower.trec import RunSet, parse_qrels, parse_run
+from discrimpower.trec import Qrels, Ranking, RunSet, parse_qrels, parse_run
 
 
 def brute_ndcg(ranking, judgments, k, gain):
@@ -174,3 +181,72 @@ def test_a_cutoff_beyond_every_ranking_costs_no_more_than_the_rankings(mini):
     widest = max(map(len, qrels.by_topic().values()))
     whole = score_matrix(runs, qrels, MeasureSpec(k=max(deepest, widest)))
     assert score_matrix(runs, qrels, MeasureSpec(k=10**12)) == whole
+
+
+POOL = [f"d{i:02d}" for i in range(20)]
+
+
+@st.composite
+def collections(draw):
+    """(runs, qrels): 1-4 systems; 1-5 judged topics, some judged only 0, with
+    tied grades; rankings 1-12 deep that hold unjudged documents, may miss a
+    judged topic, and may rank a topic the qrels do not judge."""
+    n = draw(st.integers(1, 5))
+    judgments = {}
+    for t in range(n):
+        docs = draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=10, unique=True))
+        top = draw(st.sampled_from([0, 1, 3]))
+        grades = draw(st.lists(st.integers(0, top), min_size=len(docs), max_size=len(docs)))
+        judgments.update(((f"q{t}", doc), grade) for doc, grade in zip(docs, grades))
+    runs = {}
+    for s in range(draw(st.integers(1, 4))):
+        per_topic = {}
+        for t in range(n + 1):  # q{n} is judged by no one
+            if (s, t) != (0, 0) and draw(st.booleans()) and draw(st.booleans()):
+                continue  # system s has no ranking for topic t
+            depth = draw(st.integers(1, 12))
+            per_topic[f"q{t}"] = Ranking(draw(st.permutations(POOL))[:depth], [1.0] * depth)
+        runs[f"s{s}"] = per_topic
+    return RunSet(runs), Qrels(judgments)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(collection=collections(), k=st.sampled_from([1, 3, 10, 40]),
+       gain=st.sampled_from([LINEAR, EXPONENTIAL]))
+def test_one_qrels_set_scores_as_on_the_grade_index(collection, k, gain):
+    # score_matrix and evaluate score one set in plain floats; compare and
+    # sweep score on the index. k = 40 is beyond every ranking and topic.
+    runs, qrels = collection
+    index = _GradeIndex(runs, k, qrels)
+    expected = index.score(index.grades[0], gain)
+    got = score_matrix(runs, qrels, MeasureSpec(k=k, gain=gain))
+    assert (got.system_tags, got.topic_ids) == (expected.system_tags, expected.topic_ids)
+    assert got.values.tobytes() == expected.values.tobytes()
+    assert _score_table(*_score_rows(runs, qrels, MeasureSpec(k=k, gain=gain))) \
+        == expected.to_csv()
+
+
+@pytest.mark.parametrize("judged, grade", [
+    ("q1 0 d1 2000\n", 2000),
+    ("q1 0 d1 1023\nq1 0 d2 1023\nq1 0 d3 1023\n", 1023),  # each gain fits; the sum does not
+])
+def test_a_grade_whose_gain_overflows_is_named_by_every_scorer(judged, grade):
+    runs, qrels = parse_run("q1 Q0 d1 1 3.0 A\nq1 Q0 d2 2 2.0 A\n"), parse_qrels(judged, 5000)
+    spec = MeasureSpec(gain=EXPONENTIAL)
+    index = _GradeIndex(runs, spec.k, qrels)
+    message = rf"^grade {grade} is too large for exponential gain"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning on the way
+        for scored in (lambda: score_matrix(runs, qrels, spec),
+                       lambda: index.score(index.grades[0], spec.gain),
+                       lambda: ndcg_at_k(["d1"], qrels.by_topic()["q1"], spec)):
+            with pytest.raises(ValidationError, match=message):
+                scored()
+    # Linear gain takes the same grades.
+    assert score_matrix(runs, qrels, MeasureSpec()).values.shape == (1, 1)
+
+
+def test_the_largest_exponential_grade_that_fits_still_scores():
+    runs, qrels = parse_run("q1 Q0 d1 1 3.0 A\nq1 Q0 d2 2 2.0 A\n"), parse_qrels(
+        "q1 0 d1 1023\nq1 0 d2 1000\n", 5000)
+    assert score_matrix(runs, qrels, MeasureSpec(gain=EXPONENTIAL)).values.tolist() == [[1.0]]
