@@ -33,6 +33,7 @@ from .errors import ConfigurationError, DiscrimPowerError
 from .trec import (
     CANDIDATE,
     GROUND_TRUTH,
+    _check_max_grade,
     load_qrels,
     load_runs,
     load_runs_dir,
@@ -71,10 +72,7 @@ def _parse_fractions(raw: str) -> list[float]:
 
 
 def _max_grade(raw) -> int:
-    value = int(raw)
-    if value < 0:  # before any input is read; parse_qrels checks it for library callers
-        raise ConfigurationError(f"max_grade must be >= 0, got {value}")
-    return value
+    return _check_max_grade(int(raw))  # before any input is read
 
 
 def _split_runs(raw: str) -> list[str]:
@@ -460,9 +458,10 @@ def cmd_plot(opts: dict) -> int:
 def cmd_evaluate(opts: dict) -> int:
     spec = _measure_spec(opts)
     runs, qrels = _load_inputs(opts, spec.k, ("qrels", GROUND_TRUTH))
-    from .measures import _score_rows, _score_table
+    from .measures import _GradeIndex, _score_table
 
-    csv_text = _score_table(*_score_rows(runs, qrels, spec))
+    index = _GradeIndex(runs, spec.k, qrels)
+    csv_text = _score_table(*index.score(index.grades[0], spec.gain))
     if opts["out_dir"] is None:
         sys.stdout.write(csv_text)
     else:

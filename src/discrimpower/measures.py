@@ -4,13 +4,13 @@ The score matrix is the single input to significance testing and to the
 system ranking, so everything here is deterministic: topics and systems
 are kept in sorted order and per-system means are summed left-to-right.
 
-One qrels set is scored in plain floats by ``_score_rows``, the
-arithmetic of ``ndcg_at_k`` with each topic's IDCG computed once; that is
-``score_matrix`` and the ``evaluate`` command. ``compare``, ``sweep`` and
-popularity labelling score many grade vectors on a ``_GradeIndex``, the
-qrels sets' judged keys as arrays. Every score equals ``ndcg_at_k``, the
-plain reference, bit for bit. numpy is imported only by the functions that
-build arrays, so importing this module and ``evaluate`` never load it.
+Every command scores on one ``_GradeIndex``: the judged keys of one or
+more qrels sets in ``array`` buffers and the positions of each system's
+top-k documents among them. It scores a set's grade vector, or a sampled
+one, with the arithmetic of ``ndcg_at_k``, the plain reference, so every
+score equals it bit for bit. Building and scoring an index loads no
+numpy; only ``ScoreMatrix`` and the callers that compute on the buffers
+import it, so importing this module and ``evaluate`` never load it.
 """
 
 from __future__ import annotations
@@ -80,6 +80,11 @@ def _idcg(grades: Iterable[int], k: int, kind: str) -> float:
     return idcg
 
 
+def _ndcg(dcg: float, idcg: float) -> float:
+    # No ranking's DCG exceeds its ideal one except by rounding.
+    return 0.0 if idcg == 0.0 else min(dcg / idcg, 1.0)
+
+
 def ndcg_at_k(ranking: Sequence[str], topic_judgments: Mapping[str, int],
               spec: MeasureSpec = MeasureSpec()) -> float:
     """nDCG@k of one ranking against one topic's judgments.
@@ -88,13 +93,11 @@ def ndcg_at_k(ranking: Sequence[str], topic_judgments: Mapping[str, int],
     gain 0. The ideal ranking is all judged documents of the topic in
     grade-descending order, truncated at k. Topics with no positively
     graded document score 0. The discount of rank i is log2(i + 1) with
-    ranks starting at 1.
+    ranks starting at 1. A score that rounds above 1 is 1.
     """
     idcg = _idcg(topic_judgments.values(), spec.k, spec.gain)
-    if idcg == 0.0:
-        return 0.0
     grades = [topic_judgments.get(doc_id, 0) for doc_id in ranking[:spec.k]]
-    return _dcg(grades, spec.gain) / idcg
+    return _ndcg(_dcg(grades, spec.gain), idcg)
 
 
 @dataclass
@@ -121,7 +124,8 @@ class ScoreMatrix:
             raise ValidationError("system tags are not unique")
         if len(set(self.topic_ids)) != n:
             raise ValidationError("topic ids are not unique")
-        _check_unit(self.values.ravel().tolist())
+        if not all(0.0 <= v <= 1.0 for v in self.values.ravel().tolist()):  # NaN fails both
+            raise ValidationError("matrix values must lie in [0, 1]")
 
     def __eq__(self, other):  # the generated one compares ``values`` as an array
         import numpy as np
@@ -136,11 +140,6 @@ class ScoreMatrix:
     def to_csv(self) -> str:
         """CSV with topic ids as header and one row per system, 6 dp."""
         return _score_table(self.system_tags, self.topic_ids, self.values)
-
-
-def _check_unit(values: Iterable[float]) -> None:
-    if not all(0.0 <= v <= 1.0 for v in values):  # NaN fails both
-        raise ValidationError("matrix values must lie in [0, 1]")
 
 
 def _score_table(system_tags: Sequence[str], topic_ids: Sequence[str], rows: Iterable) -> str:
@@ -161,44 +160,40 @@ def sequential_row_means(values: np.ndarray) -> np.ndarray:
     return acc / values.shape[1]
 
 
-def _union_judgments(*qrels_sets: Qrels) -> tuple[list[tuple[str, str]], list[str], np.ndarray,
-                                                   np.ndarray, np.ndarray]:
+def _union_judgments(*qrels_sets: Qrels) -> tuple[list[tuple[str, str]], list[str], list[int],
+                                                   list[array], array]:
     """The union of the sets' judged (topic, doc) keys in sorted order.
 
     Returns the keys, their topics, the bounds of the topics' segments,
-    one row per set holding its grade of every key (0 where it judged
-    none), and a mask of the keys every set judged. Both arrays end in
-    one more slot, a 0 grade that no set judged, which index -1 reads.
+    one ``array('q')`` per set holding its grade of every key (0 where it
+    judged none), and an ``array('B')`` marking the keys every set judged.
+    Each buffer ends in one more slot, a 0 grade that no set judged, which
+    index -1 reads. Callers that compute in numpy wrap them with
+    ``np.frombuffer``.
     """
-    import numpy as np
-
     keys = sorted(chain.from_iterable(q.judgments for q in qrels_sets))
     if len(qrels_sets) > 1:  # a sorted merge: a set union of the keys holds more memory
         keys = [key for key, _ in groupby(keys)]
     topics = [topic for topic, _ in groupby(keys, key=itemgetter(0))]
-    bounds = np.array([*(bisect_left(keys, (topic,)) for topic in topics), len(keys)])
-    grades = np.fromiter(chain.from_iterable(chain(map(q.judgments.get, keys, repeat(0)), [0])
-                                             for q in qrels_sets),
-                         dtype=np.int64, count=len(qrels_sets) * (len(keys) + 1))
-    shared = np.fromiter(chain(map(all, zip(*(map(q.judgments.__contains__, keys)
-                                              for q in qrels_sets))), [False]),
-                         dtype=bool, count=len(keys) + 1)
-    return keys, topics, bounds, grades.reshape(len(qrels_sets), len(keys) + 1), shared
+    bounds = [*(bisect_left(keys, (topic,)) for topic in topics), len(keys)]
+    grades = [array("q", chain(map(q.judgments.get, keys, repeat(0)), [0])) for q in qrels_sets]
+    shared = array("B", chain(map(all, zip(*(map(q.judgments.__contains__, keys)
+                                             for q in qrels_sets))), [False]))
+    return keys, topics, bounds, grades, shared
 
 
 def _ranked(runs: RunSet, systems: list[str], keys: list[tuple[str, str]], topics: list[str],
-            bounds: list[int], k: int) -> np.ndarray:
+            bounds: list[int], k: int) -> array:
     """The position in ``keys`` of each system's top-k documents on each topic.
 
-    The (systems, topics, ranks) array holds -1 for an unjudged document
-    and pads short and missing rankings with it. It is as wide as the
-    deepest ranking when that is shallower than k.
+    The flat ``array('q')`` holds topic by topic, system by system, one
+    row of positions as wide as k, or as the deepest ranking when that is
+    shallower. It holds -1 for an unjudged document and pads short and
+    missing rankings with it.
     """
-    import numpy as np
-
     rankings = [runs.runs[tag] for tag in systems]
     width = min(k, max((len(r.doc_ids) for per in rankings for r in per.values()), default=0))
-    values, pad = array("q"), [-1] * width
+    ranked, pad = array("q"), [-1] * width
     for topic, start, end in zip(topics, bounds, bounds[1:]):
         # One topic's positions at a time: a dict over every key holds far more.
         position = {keys[i][1]: i for i in range(start, end)}
@@ -206,14 +201,13 @@ def _ranked(runs: RunSet, systems: list[str], keys: list[tuple[str, str]], topic
             ranking = per_topic.get(topic)
             row = [] if ranking is None else [position.get(doc, -1)
                                               for doc in ranking.doc_ids[:width]]
-            values.extend(row)
-            values.extend(pad[len(row):])
-    ranked = np.frombuffer(values, dtype=np.int64).reshape(len(topics), len(systems), width)
-    return ranked.swapaxes(0, 1)
+            ranked.extend(row)
+            ranked.extend(pad[len(row):])
+    return ranked
 
 
 class _GradeIndex:
-    """The judgments of one or more qrels sets as arrays, for scoring grade vectors.
+    """The judgments of one or more qrels sets, for scoring grade vectors.
 
     The index covers the union of the sets' judged (topic, doc) keys in
     sorted order; ``bounds[j]:bounds[j + 1]`` is topic j's segment.
@@ -224,14 +218,13 @@ class _GradeIndex:
     grades or 0 as a sample's are, can be scored; it ends in the 0 slot
     of ``_union_judgments``.
 
-    ``ranked[i, j]`` holds the positions of system i's top-k documents
-    for topic j, padded with -1, which reads that last 0; an unjudged
-    document and a missing ranking read it too.
+    ``ranked`` is ``_ranked``'s buffer: the ``width`` positions of system
+    i's top-k documents for topic j start at ``(j * len(systems) + i) *
+    width``. Its padding, -1, reads that last 0; an unjudged document and
+    a missing ranking read it too.
     """
 
     def __init__(self, runs: RunSet, k: int, *qrels_sets: Qrels):
-        import numpy as np
-
         keys, topics, self.bounds, self.grades, self.shared = _union_judgments(*qrels_sets)
         if not topics:
             raise ConfigurationError("qrels contain no judgments")
@@ -240,66 +233,29 @@ class _GradeIndex:
             raise ConfigurationError("run set contains no systems")
         if not set(runs.topics()) & set(topics):
             raise ConfigurationError("runs and qrels share no topics")
-        # Every grade a scored vector can hold: the sets' own and 0.
-        self.values = np.array(sorted({0, *chain.from_iterable(q.judgments.values()
-                                                             for q in qrels_sets)}),
-                               dtype=np.int64)
         self.k = k
-        self.ranked = _ranked(runs, self.systems, keys, topics, self.bounds.tolist(), k)
+        self.ranked = _ranked(runs, self.systems, keys, topics, self.bounds, k)
+        self.width = len(self.ranked) // (len(topics) * len(self.systems))
 
-    def score(self, grades: np.ndarray, gain: str) -> ScoreMatrix:
-        """nDCG@k of every system on every topic under one grade vector.
+    def score(self, grades: array, gain: str) -> tuple[list[str], list[str], list[list[float]]]:
+        """The systems, the topics and each system's row of nDCG@k under one grade vector.
 
-        Only the ranked grades become an array, so scoring allocates no
-        array as long as the vector. Each topic's IDCG is ``_idcg`` of its
-        segment, which refuses the vector's grades before any is gathered.
+        Each topic's IDCG is ``_idcg`` of its segment, which refuses the
+        vector's grades before any is gathered. The DCGs of all rankings
+        add their gains rank by rank, as ``_dcg`` does for one; a 0 gain
+        adds 0.0, which changes no sum, so each score is ``ndcg_at_k``'s
+        bit for bit.
         """
-        import numpy as np
-
-        bounds = self.bounds.tolist()
-        idcg = np.array([_idcg(grades[start:end].tolist(), self.k, gain)
-                         for start, end in zip(bounds, bounds[1:])])
-        table = np.array([_gain(g, gain) if g > 0 else 0.0 for g in self.values.tolist()])
-        gains = table[np.searchsorted(self.values, grades[self.ranked])]
-        dcg = np.zeros(gains.shape[:-1])
-        # ``_dcg`` rank by rank in the same order; a 0 gain adds 0.0, which
-        # changes no sum, so the results are bit-identical.
-        for r in range(gains.shape[-1]):
-            dcg += gains[..., r] / math.log2(r + 2)
-        ndcg = np.divide(dcg, idcg, out=np.zeros_like(dcg), where=idcg != 0.0)
-        return ScoreMatrix(self.systems, self.topics, ndcg)
-
-
-def _score_rows(runs: RunSet, qrels: Qrels,
-                spec: MeasureSpec) -> tuple[list[str], list[str], list[list[float]]]:
-    """The systems, the judged topics and each system's row of nDCG@k, in plain floats.
-
-    ``ndcg_at_k`` on every pair, with each topic's IDCG computed once. It
-    raises what ``_GradeIndex`` and ``ScoreMatrix`` raise, in that order.
-    """
-    judged = qrels.by_topic()
-    if not judged:
-        raise ConfigurationError("qrels contain no judgments")
-    systems, topics = runs.systems(), sorted(judged)
-    if not systems:
-        raise ConfigurationError("run set contains no systems")
-    if not set(runs.topics()) & set(topics):
-        raise ConfigurationError("runs and qrels share no topics")
-    ideal = [_idcg(judged[topic].values(), spec.k, spec.gain) for topic in topics]
-    rows = []
-    for tag in systems:
-        rankings, row = runs.runs[tag], []
-        for topic, idcg in zip(topics, ideal):
-            ranking = rankings.get(topic)
-            if idcg == 0.0 or ranking is None:
-                row.append(0.0)
-            else:
-                grades = judged[topic]
-                row.append(_dcg([grades.get(doc, 0) for doc in ranking.doc_ids[:spec.k]],
-                                spec.gain) / idcg)
-        rows.append(row)
-    _check_unit(chain.from_iterable(rows))
-    return systems, topics, rows
+        grades, bounds, m, width = grades.tolist(), self.bounds, len(self.systems), self.width
+        ideal = [_idcg(grades[start:end], self.k, gain) for start, end in zip(bounds, bounds[1:])]
+        ranked = list(map(grades.__getitem__, self.ranked))
+        table = {g: _gain(g, gain) if g > 0 else 0.0 for g in set(ranked)}
+        gains, dcg = list(map(table.__getitem__, ranked)), [0.0] * (len(ideal) * m)
+        for r in range(width):
+            discount = math.log2(r + 2)
+            dcg = [total + g / discount for total, g in zip(dcg, gains[r::width])]
+        return self.systems, self.topics, [[_ndcg(dcg[j * m + i], idcg)
+                                            for j, idcg in enumerate(ideal)] for i in range(m)]
 
 
 def score_matrix(runs: RunSet, qrels: Qrels,
@@ -309,7 +265,8 @@ def score_matrix(runs: RunSet, qrels: Qrels,
     Topics are those present in the qrels; a system with no ranking for a
     topic scores 0 on it. Each score equals ``ndcg_at_k`` bit for bit.
     """
-    return ScoreMatrix(*_score_rows(runs, qrels, spec))
+    index = _GradeIndex(runs, spec.k, qrels)
+    return ScoreMatrix(*index.score(index.grades[0], spec.gain))
 
 
 def mean_scores(sm: ScoreMatrix) -> dict[str, float]:

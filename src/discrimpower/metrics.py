@@ -18,6 +18,7 @@ can distinguish "no evidence" from "all wrong".
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -145,18 +146,20 @@ def cohen_kappa(
     return _kappa(gt_grades, cand_grades, shared, threshold)[0]
 
 
-def _kappa(gt: np.ndarray, cand: np.ndarray, shared: np.ndarray,
-           threshold: int) -> tuple[float, bool]:
+def _kappa(gt: array, cand: array, shared: array, threshold: int) -> tuple[float, bool]:
     """Cohen's kappa and its degenerate flag over the keys ``shared`` marks.
 
-    ``gt`` and ``cand`` are two grade vectors over the same keys. Grades
-    are binarized as relevant when ``grade >= threshold``. When expected
-    agreement is 1 (at least one rater gives a single constant label
-    class combination making p_e degenerate), kappa is defined as 1.0
-    for perfect observed agreement and 0.0 otherwise; the flag marks that
-    degenerate case.
+    ``gt`` and ``cand`` are two ``array('q')`` grade vectors over the same
+    keys and ``shared`` is an ``array('B')``, as ``measures._union_judgments``
+    returns them. Grades are binarized as relevant when ``grade >=
+    threshold``. When expected agreement is 1 (at least one rater gives a
+    single constant label class combination making p_e degenerate), kappa
+    is defined as 1.0 for perfect observed agreement and 0.0 otherwise;
+    the flag marks that degenerate case.
     """
-    relevant_gt, relevant_cand = gt >= threshold, cand >= threshold
+    shared = np.frombuffer(shared, dtype=bool)
+    relevant_gt, relevant_cand = (np.frombuffer(grades, dtype=np.int64) >= threshold
+                                  for grades in (gt, cand))
     # Python int counts: the order of the keys does not matter, and the
     # rates below are Python floats.
     n, both, pos_gt, pos_cand = (int(np.count_nonzero(shared & v)) for v in (

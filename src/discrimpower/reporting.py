@@ -128,8 +128,9 @@ def _scores(index: _GradeIndex, candidates: Callable[[_GradeIndex], Iterable],
     a new index: it then ends with the call, before the test.
     """
     truth = index.grades[0]
-    return index.score(truth, spec.gain), [
-        (index.score(grades, spec.gain), _kappa(truth, grades, index.shared, kappa_threshold))
+    return ScoreMatrix(*index.score(truth, spec.gain)), [
+        (ScoreMatrix(*index.score(grades, spec.gain)),
+         _kappa(truth, grades, index.shared, kappa_threshold))
         for grades in candidates(index)]
 
 

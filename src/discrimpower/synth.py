@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,21 +84,23 @@ def percentage_sample(gt: Qrels, cfg: SamplingConfig, repetition_index: int = 0)
         )
     keys, _, bounds, grades, _ = _union_judgments(gt)
     sampled = _sample_grades(grades[0], bounds, cfg, repetition_index)
-    return Qrels(judgments=dict(zip(keys, sampled[:-1].tolist())), role=CANDIDATE)
+    return Qrels(judgments=dict(zip(keys, sampled)), role=CANDIDATE)
 
 
-def _sample_grades(grades: np.ndarray, bounds: np.ndarray, cfg: SamplingConfig,
-                   repetition_index: int) -> np.ndarray:
-    """``percentage_sample`` on a grade vector in sorted (topic, doc) order.
+def _sample_grades(grades: array, bounds: list[int], cfg: SamplingConfig,
+                   repetition_index: int) -> array:
+    """``percentage_sample`` on an ``array('q')`` grade vector in sorted (topic, doc) order.
 
     Topic j owns ``grades[bounds[j]:bounds[j + 1]]``; a 0 past the last
     topic is copied as it is. The relevant judgments are drawn from in
     sorted key order, so the kept set is the one ``percentage_sample``
-    keeps.
+    keeps. The sample is a new ``array('q')``, which scoring reads grade
+    by grade without numpy.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence(cfg.master_seed, spawn_key=(repetition_index,))
     )
+    grades = np.frombuffer(grades, dtype=np.int64)
     relevant = np.flatnonzero(grades >= cfg.relevant_threshold)
     if cfg.stratified:  # one draw per topic, in topic order
         groups = np.split(relevant, np.searchsorted(relevant, bounds[1:-1]))
@@ -110,7 +113,7 @@ def _sample_grades(grades: np.ndarray, bounds: np.ndarray, cfg: SamplingConfig,
         if k < len(group):
             group = group[rng.choice(len(group), size=k, replace=False)]
         sampled[group] = grades[group]
-    return sampled
+    return array("q", sampled.tobytes())
 
 
 @dataclass(frozen=True)
@@ -152,11 +155,11 @@ def popularity_biased(gt: Qrels, runs: RunSet, cfg: PopularityConfig = Popularit
     """
     from fractions import Fraction  # here, so that sampling never loads it
 
-    keys, topics, bounds, grades, _ = _union_judgments(gt)
-    bounds = bounds.tolist()
-    ranked = _ranked(runs, runs.systems(), keys, topics, bounds, cfg.depth)
-    counts = np.bincount(ranked.ravel() + 1, minlength=len(keys) + 1)[1:]
-    relevant = grades[0, :-1] >= cfg.relevant_threshold
+    keys, topics, bounds, (grades,), _ = _union_judgments(gt)
+    ranked = np.frombuffer(_ranked(runs, runs.systems(), keys, topics, bounds, cfg.depth),
+                           dtype=np.int64)
+    counts = np.bincount(ranked + 1, minlength=len(keys) + 1)[1:]
+    relevant = np.frombuffer(grades, dtype=np.int64)[:-1] >= cfg.relevant_threshold
     if cfg.p_mode == GLOBAL:
         if not keys:
             raise ConfigurationError("cannot label an empty qrel set")

@@ -194,20 +194,28 @@ def _cut_run(tag: str | None, topics: dict[str, dict[str, float]],
     return RunSet({tag: rankings})
 
 
+def _check_max_grade(max_grade: int) -> int:
+    # Grades are scored from int64 buffers (``measures._union_judgments``).
+    if max_grade < 0:
+        raise ConfigurationError(f"max_grade must be >= 0, got {max_grade}")
+    if max_grade >= 2 ** 63:
+        raise ConfigurationError(f"max_grade must be below 2^63, got {max_grade}")
+    return max_grade
+
+
 def parse_qrels(source, max_grade: int = 3, role: str = GROUND_TRUTH, *,
                 _ids: dict[str, str] | None = None) -> Qrels:
     """Parse a TREC qrels file.
 
     The second (iteration) column is ignored. Negative grades are clamped
     to 0 and counted in ``clamp_warnings``; grades above ``max_grade``
-    are rejected, and a negative ``max_grade`` is a
+    are rejected, and a ``max_grade`` below 0 or of 2^63 or more is a
     :class:`ConfigurationError`.
     """
     # ``_ids`` maps each topic and doc id to the one string kept for it in a
     # load; None starts a new pool.
     ids = {} if _ids is None else _ids
-    if max_grade < 0:
-        raise ConfigurationError(f"max_grade must be >= 0, got {max_grade}")
+    _check_max_grade(max_grade)
     judgments: dict[tuple[str, str], int] = {}
     clamped = 0
     for line_no, raw in enumerate(_iter_lines(source), start=1):

@@ -240,25 +240,33 @@ OVERFLOW = "grade {} is too large for exponential gain: the ideal DCG overflows 
 
 @pytest.mark.parametrize("command", [["evaluate", "--qrels", "{qrels}"],
                                      ["compare", "--gt", "{qrels}", "--cand", "{qrels}",
-                                      "--permutations", "50"]],
-                         ids=["evaluate", "compare"])
+                                      "--permutations", "50"],
+                                     ["sweep", "--gt", "{qrels}", "--fractions", "1",
+                                      "--repetitions", "1", "--permutations", "50"]],
+                         ids=["evaluate", "compare", "sweep"])
 @pytest.mark.parametrize("judged, message", [
     ("q1 0 a 2000\n", OVERFLOW.format(2000)),
     ("q1 0 a 1023\nq1 0 b 1023\nq1 0 c 1023\n", OVERFLOW.format(1023)),
-    # The DCG of (53, 1, 2) rounds one ulp above the ideal (53, 2, 1)'s.
-    ("q1 0 a 53\nq1 0 b 1\nq1 0 c 2\n", "matrix values must lie in [0, 1]"),
+    # The DCG of (53, 1, 2) rounds one ulp above the ideal (53, 2, 1)'s: it scores 1.
+    ("q1 0 a 53\nq1 0 b 1\nq1 0 c 2\n", None),
 ], ids=["gain-overflows", "ideal-dcg-overflows", "rounded-above-1"])
 def test_an_unrepresentable_exponential_score_is_one_error_line(tmp_path, command, judged,
                                                                 message):
-    qrels, run = tmp_path / "gt.qrels", tmp_path / "A.run"
+    qrels, out = tmp_path / "gt.qrels", tmp_path / "out"
     qrels.write_text(judged)
-    run.write_text("q1 Q0 a 1 3.0 A\nq1 Q0 b 2 2.0 A\nq1 Q0 c 3 1.0 A\n")
+    (tmp_path / "A.run").write_text("q1 Q0 a 1 3.0 A\nq1 Q0 b 2 2.0 A\nq1 Q0 c 3 1.0 A\n")
+    (tmp_path / "B.run").write_text("q1 Q0 c 1 3.0 B\n")  # a test needs two systems
     args = [arg.format(qrels=qrels) for arg in command]
-    proc = _run_script("discrimpower.cli:main", *args, "--run", str(run), "--gain",
-                       "exponential", "--max-grade", "5000", "--out-dir", str(tmp_path / "out"),
+    proc = _run_script("discrimpower.cli:main", *args, "--run", "A.run", "--run", "B.run",
+                       "--gain", "exponential", "--max-grade", "5000", "--out-dir", str(out),
                        cwd=tmp_path)
-    assert (proc.returncode, proc.stderr) == (1, f"error: {message}\n")
-    assert not (tmp_path / "out").exists()
+    if message is not None:
+        assert (proc.returncode, proc.stderr) == (1, f"error: {message}\n")
+        assert not out.exists()
+        return
+    assert (proc.returncode, proc.stderr) == (0, "")
+    if command[0] == "evaluate":
+        assert (out / "scores.csv").read_text().splitlines()[1] == "A,1.000000"
 
 
 def test_a_fraction_listed_twice_exits_1_before_loading(workspace, tmp_path, capsys):
@@ -275,6 +283,7 @@ def test_a_fraction_listed_twice_exits_1_before_loading(workspace, tmp_path, cap
 MISSING = "{missing}"
 BAD_ENDPOINTS = {"not-a-url": "notaurl", "ftp": "ftp://x/", "file": "file:///etc/hostname",
                  "no-host": "http:///nohost", "port-not-a-number": "http://h:abc/"}
+TOO_LARGE = 2 ** 63  # a grade this large does not fit the int64 grade buffers
 ALL_INPUTS_MISSING = {
     "compare": ["--gt", MISSING, "--cand", MISSING, "--runs-dir", MISSING],
     "sweep": ["--gt", MISSING, "--runs-dir", MISSING],
@@ -296,6 +305,10 @@ ALL_INPUTS_MISSING = {
     ("evaluate", ["--max-grade", "-1"], None, "max_grade must be >= 0, got -1"),
     ("evaluate", [], b"max_grade=-1\n",
      "opts.cfg: invalid value for max_grade: max_grade must be >= 0, got -1"),
+    *[(command, ["--max-grade", str(TOO_LARGE)], None,
+       f"max_grade must be below 2^63, got {TOO_LARGE}") for command in ALL_INPUTS_MISSING],
+    ("evaluate", [], f"max_grade={TOO_LARGE}\n".encode(),
+     f"opts.cfg: invalid value for max_grade: max_grade must be below 2^63, got {TOO_LARGE}"),
     ("generate sample", ["--fraction", "1.5"], None, "fraction must be in [0, 1], got 1.5"),
     ("generate sample", ["--fractions", "0.1,0.1000001"], None,
      "sampling fractions 0.1 and 0.1000001 would both write sample_0.1_0.qrels"),
@@ -317,7 +330,9 @@ ALL_INPUTS_MISSING = {
 ], ids=["compare-alpha-1.5", "compare-permutations-0", "compare-workers-0",
         "compare-seed-negative", "compare-config-permutations-abc", "sweep-repetitions-0",
         "compare-max-grade-negative", "evaluate-max-grade-negative",
-        "evaluate-config-max-grade-negative", "sample-fraction-1.5",
+        "evaluate-config-max-grade-negative",
+        *[f"{command.replace(' ', '-')}-max-grade-2^63" for command in ALL_INPUTS_MISSING],
+        "evaluate-config-max-grade-2^63", "sample-fraction-1.5",
         "sample-fractions-one-file-name",
         "popularity-explicit-without-p", "llm-without-endpoint",
         "llm-timeout-0", "llm-timeout-inf", "llm-rate-limit-nan", "llm-config-retries-0",
@@ -770,9 +785,7 @@ def _holds_one_string_per_id(workspace, candidate, tmp_path, monkeypatch, cache_
                              command, warm):
     # Every file a command loads draws on one pool, so each topic id and doc id
     # is one object across the runs, the truth and the candidate. Warm, the
-    # runs come from the run cache. evaluate scores its one set without an
-    # index, so its scorer is the one watched.
-    from discrimpower import measures
+    # runs come from the run cache.
     from discrimpower.measures import _GradeIndex
 
     args = [arg.format(cand=candidate, **workspace) for arg in INDEXED[command]]
@@ -781,18 +794,12 @@ def _holds_one_string_per_id(workspace, candidate, tmp_path, monkeypatch, cache_
                      str(tmp_path / "first")]) == 0
         assert len(_entries(cache_home)) == len(workspace["runs"])
     indexed = []
-    if command == "evaluate":
-        def spy(runs, qrels, spec, _score=measures._score_rows):
-            indexed.append((runs, (qrels,)))
-            return _score(runs, qrels, spec)
 
-        monkeypatch.setattr(measures, "_score_rows", spy)
-    else:
-        def spy(self, runs, k, *qrels_sets, _init=_GradeIndex.__init__):
-            indexed.append((runs, qrels_sets))
-            _init(self, runs, k, *qrels_sets)
+    def spy(self, runs, k, *qrels_sets, _init=_GradeIndex.__init__):
+        indexed.append((runs, qrels_sets))
+        _init(self, runs, k, *qrels_sets)
 
-        monkeypatch.setattr(_GradeIndex, "__init__", spy)
+    monkeypatch.setattr(_GradeIndex, "__init__", spy)
     assert main([*args, "--runs-dir", workspace["runs_dir"], "--out-dir", str(tmp_path)]) == 0
     ((runs, qrels_sets),) = indexed
     assert len(qrels_sets) == (2 if command == "compare" else 1)

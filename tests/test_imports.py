@@ -229,14 +229,14 @@ sys.exit(cli.main(sys.argv[1:]))
 
 
 def test_evaluate_runs_without_numpy(tmp_path, mini_files):
-    # evaluate scores its one qrels set in plain floats; the grade index,
-    # which needs numpy, must give the same bytes.
-    from discrimpower.measures import _GradeIndex
+    # evaluate builds and scores its grade index without numpy, and writes
+    # the bytes the index's rows give.
+    from discrimpower.measures import _GradeIndex, _score_table
     from discrimpower.trec import load_qrels, load_runs_dir
 
     gt, runs_dir, _ = mini_files
     index = _GradeIndex(load_runs_dir(runs_dir, depth=10), 10, load_qrels(gt))
-    expected = index.score(index.grades[0], "linear").to_csv()
+    expected = _score_table(*index.score(index.grades[0], "linear"))
     for out_dir in (None, tmp_path / "out"):
         cache = tmp_path / ("cache-stdout" if out_dir is None else "cache-out-dir")
         argv = ["evaluate", "--qrels", gt, "--runs-dir", runs_dir,

@@ -13,8 +13,6 @@ from discrimpower.measures import (
     MeasureSpec,
     ScoreMatrix,
     _GradeIndex,
-    _score_rows,
-    _score_table,
     mean_scores,
     ndcg_at_k,
     score_matrix,
@@ -186,18 +184,25 @@ def test_a_cutoff_beyond_every_ranking_costs_no_more_than_the_rankings(mini):
 POOL = [f"d{i:02d}" for i in range(20)]
 
 
-@st.composite
-def collections(draw):
-    """(runs, qrels): 1-4 systems; 1-5 judged topics, some judged only 0, with
-    tied grades; rankings 1-12 deep that hold unjudged documents, may miss a
-    judged topic, and may rank a topic the qrels do not judge."""
-    n = draw(st.integers(1, 5))
-    judgments = {}
+def judgments(draw, n):
+    """Grades for topics q0 .. q{n-1}, some judged only 0, with tied grades."""
+    judged = {}
     for t in range(n):
         docs = draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=10, unique=True))
         top = draw(st.sampled_from([0, 1, 3]))
         grades = draw(st.lists(st.integers(0, top), min_size=len(docs), max_size=len(docs)))
-        judgments.update(((f"q{t}", doc), grade) for doc, grade in zip(docs, grades))
+        judged.update(((f"q{t}", doc), grade) for doc, grade in zip(docs, grades))
+    return judged
+
+
+@st.composite
+def collections(draw):
+    """(runs, qrels, candidate): 1-4 systems; 1-5 judged topics; rankings 1-12
+    deep that hold unjudged documents, may miss a judged topic, and may rank a
+    topic the qrels do not judge. The candidate judges other keys: its own
+    documents, on fewer topics or on one the qrels do not judge."""
+    n = draw(st.integers(1, 5))
+    qrels = Qrels(judgments(draw, n))
     runs = {}
     for s in range(draw(st.integers(1, 4))):
         per_topic = {}
@@ -207,23 +212,33 @@ def collections(draw):
             depth = draw(st.integers(1, 12))
             per_topic[f"q{t}"] = Ranking(draw(st.permutations(POOL))[:depth], [1.0] * depth)
         runs[f"s{s}"] = per_topic
-    return RunSet(runs), Qrels(judgments)
+    return RunSet(runs), qrels, Qrels(judgments(draw, draw(st.integers(1, n + 1))))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(collection=collections(), k=st.sampled_from([1, 3, 10, 40]),
        gain=st.sampled_from([LINEAR, EXPONENTIAL]))
-def test_one_qrels_set_scores_as_on_the_grade_index(collection, k, gain):
-    # score_matrix and evaluate score one set in plain floats; compare and
-    # sweep score on the index. k = 40 is beyond every ranking and topic.
-    runs, qrels = collection
-    index = _GradeIndex(runs, k, qrels)
-    expected = index.score(index.grades[0], gain)
-    got = score_matrix(runs, qrels, MeasureSpec(k=k, gain=gain))
-    assert (got.system_tags, got.topic_ids) == (expected.system_tags, expected.topic_ids)
-    assert got.values.tobytes() == expected.values.tobytes()
-    assert _score_table(*_score_rows(runs, qrels, MeasureSpec(k=k, gain=gain))) \
-        == expected.to_csv()
+def test_every_set_scores_as_ndcg_at_k_on_the_grade_index(collection, k, gain):
+    # Each set's rows, on its own index and on one it shares with a set that
+    # judges other keys, are ndcg_at_k on its own judgments, bit for bit. A
+    # topic only the other set judges scores 0. k = 40 is beyond every ranking
+    # and topic.
+    runs, qrels, candidate = collection
+    spec = MeasureSpec(k=k, gain=gain)
+    for sets in ((qrels,), (candidate,), (qrels, candidate)):
+        index = _GradeIndex(runs, k, *sets)
+        topics = sorted({topic for judged in sets for topic in judged.topics()})
+        for grades, judged in zip(index.grades, sets):
+            by_topic = judged.by_topic()
+            expected = [[ndcg_at_k(runs.runs[tag][topic].doc_ids if topic in runs.runs[tag]
+                                   else (), by_topic.get(topic, {}), spec) for topic in topics]
+                        for tag in runs.systems()]
+            systems, scored_topics, rows = index.score(grades, gain)
+            assert (systems, scored_topics) == (runs.systems(), topics)
+            assert np.array(rows).tobytes() == np.array(expected).tobytes()
+            if len(sets) == 1:
+                assert score_matrix(runs, judged, spec).values.tobytes() \
+                    == np.array(expected).tobytes()
 
 
 @pytest.mark.parametrize("judged, grade", [
@@ -233,17 +248,34 @@ def test_one_qrels_set_scores_as_on_the_grade_index(collection, k, gain):
 def test_a_grade_whose_gain_overflows_is_named_by_every_scorer(judged, grade):
     runs, qrels = parse_run("q1 Q0 d1 1 3.0 A\nq1 Q0 d2 2 2.0 A\n"), parse_qrels(judged, 5000)
     spec = MeasureSpec(gain=EXPONENTIAL)
-    index = _GradeIndex(runs, spec.k, qrels)
     message = rf"^grade {grade} is too large for exponential gain"
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow warning on the way
         for scored in (lambda: score_matrix(runs, qrels, spec),
-                       lambda: index.score(index.grades[0], spec.gain),
                        lambda: ndcg_at_k(["d1"], qrels.by_topic()["q1"], spec)):
             with pytest.raises(ValidationError, match=message):
                 scored()
     # Linear gain takes the same grades.
     assert score_matrix(runs, qrels, MeasureSpec()).values.shape == (1, 1)
+
+
+def test_a_score_that_rounds_above_1_is_1():
+    # The DCG of exponential gains (2^53 - 1, 1, 3) rounds one ulp above the
+    # ideal (2^53 - 1, 3, 1)'s.
+    judged = "q1 0 a 53\nq1 0 b 1\nq1 0 c 2\n"
+    runs, qrels = parse_run("q1 Q0 a 1 3.0 A\nq1 Q0 b 2 2.0 A\nq1 Q0 c 3 1.0 A\n"), \
+        parse_qrels(judged, 60)
+    spec = MeasureSpec(gain=EXPONENTIAL)
+    assert brute_ndcg(["a", "b", "c"], qrels.by_topic()["q1"], 10, EXPONENTIAL) > 1.0
+    assert ndcg_at_k(["a", "b", "c"], qrels.by_topic()["q1"], spec) == 1.0
+    assert score_matrix(runs, qrels, spec).values.tolist() == [[1.0]]
+
+
+def test_the_largest_grade_that_fits_scores_on_the_index():
+    largest = 2 ** 63 - 1
+    runs, qrels = parse_run("q1 Q0 d1 1 3.0 A\nq1 Q0 d2 2 2.0 A\n"), parse_qrels(
+        f"q1 0 d1 {largest}\nq1 0 d2 1\n", largest)
+    assert score_matrix(runs, qrels).values.tolist() == [[1.0]]
 
 
 def test_the_largest_exponential_grade_that_fits_still_scores():

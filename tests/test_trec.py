@@ -117,6 +117,12 @@ def test_parse_qrels_grade_above_max():
     # checked before any line is read, so no judgment takes the blame
     with pytest.raises(ConfigurationError, match=r"^max_grade must be >= 0, got -1$"):
         parse_qrels("q1 0 d1 0\n", max_grade=-1)
+    # Grades are scored from int64 buffers: the largest one fits, one more does not.
+    assert parse_qrels(f"q1 0 d1 {2 ** 63 - 1}\n", max_grade=2 ** 63 - 1).grade("q1", "d1") \
+        == 2 ** 63 - 1
+    with pytest.raises(ConfigurationError,
+                       match=rf"^max_grade must be below 2\^63, got {2 ** 63}$"):
+        parse_qrels("q1 0 d1 0\n", max_grade=2 ** 63)
 
 
 def test_parse_qrels_column_error_names_line():
