@@ -188,11 +188,11 @@ def _ranked(runs: RunSet, systems: list[str], keys: list[tuple[str, str]], topic
 
     The flat ``array('q')`` holds topic by topic, system by system, one
     row of positions as wide as k, or as the deepest ranking when that is
-    shallower. It holds -1 for an unjudged document and pads short and
-    missing rankings with it.
+    shallower, and at least 1 wide. It holds -1 for an unjudged document
+    and pads short and missing rankings with it.
     """
     rankings = [runs.runs[tag] for tag in systems]
-    width = min(k, max((len(r.doc_ids) for per in rankings for r in per.values()), default=0))
+    width = min(k, max([1, *(len(r.doc_ids) for per in rankings for r in per.values())]))
     ranked, pad = array("q"), [-1] * width
     for topic, start, end in zip(topics, bounds, bounds[1:]):
         # One topic's positions at a time: a dict over every key holds far more.
@@ -241,19 +241,20 @@ class _GradeIndex:
         """The systems, the topics and each system's row of nDCG@k under one grade vector.
 
         Each topic's IDCG is ``_idcg`` of its segment, which refuses the
-        vector's grades before any is gathered. The DCGs of all rankings
-        add their gains rank by rank, as ``_dcg`` does for one; a 0 gain
-        adds 0.0, which changes no sum, so each score is ``ndcg_at_k``'s
-        bit for bit.
+        vector's grades before any is gathered. Each ranking's DCG adds its
+        gains rank by rank, as ``_dcg`` does; a 0 gain adds 0.0, which
+        changes no sum, so each score is ``ndcg_at_k``'s bit for bit.
         """
-        grades, bounds, m, width = grades.tolist(), self.bounds, len(self.systems), self.width
+        grades, bounds, m = grades.tolist(), self.bounds, len(self.systems)
         ideal = [_idcg(grades[start:end], self.k, gain) for start, end in zip(bounds, bounds[1:])]
-        ranked = list(map(grades.__getitem__, self.ranked))
-        table = {g: _gain(g, gain) if g > 0 else 0.0 for g in set(ranked)}
-        gains, dcg = list(map(table.__getitem__, ranked)), [0.0] * (len(ideal) * m)
-        for r in range(width):
-            discount = math.log2(r + 2)
-            dcg = [total + g / discount for total, g in zip(dcg, gains[r::width])]
+        table = {g: _gain(g, gain) if g > 0 else 0.0 for g in set(grades)}
+        discounts = [math.log2(r + 2) for r in range(self.width)]
+        dcg = []
+        for row in zip(*[map(grades.__getitem__, self.ranked)] * self.width):  # one ranking each
+            total = 0.0
+            for g, discount in zip(row, discounts):
+                total += table[g] / discount
+            dcg.append(total)
         return self.systems, self.topics, [[_ndcg(dcg[j * m + i], idcg)
                                             for j, idcg in enumerate(ideal)] for i in range(m)]
 
